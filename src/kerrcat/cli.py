@@ -4,6 +4,10 @@ Subcommands:
   figure <name>|all   write the data behind a named figure (fig1..fig11)
   validate            run the cross-module invariant checks, exit nonzero on failure
   custom <config>     run an arbitrary experiment described by a flat JSON config
+
+BLAS threading is fixed when numpy loads, before any argument is parsed, so
+the thread count is set in the environment at launch
+(OPENBLAS_NUM_THREADS=1 kerrcat ...), not by a flag.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -409,24 +412,17 @@ def main(argv: list[str] | None = None) -> int:
     p_fig.add_argument("--out-dir", default="out")
     p_fig.add_argument("--n-max", type=int, default=None)
     p_fig.add_argument("--grid-points", type=int, default=None)
-    p_fig.add_argument("--threads", type=int, default=None)
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--seed", type=int, default=1234)
-    p_val.add_argument("--threads", type=int, default=None)
 
     p_cus = sub.add_parser("custom", help="run an experiment from a JSON config")
     p_cus.add_argument("config")
     p_cus.add_argument("--out-dir", default=None)
     p_cus.add_argument("--n-max", type=int, default=None)
     p_cus.add_argument("--grid-points", type=int, default=None)
-    p_cus.add_argument("--threads", type=int, default=None)
 
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     try:
         if args.command == "figure":
             names = sorted(FIGURES) if args.name == "all" else [args.name]

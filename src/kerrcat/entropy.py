@@ -25,9 +25,10 @@ from scipy.integrate import simpson
 from .evolution import KerrParams, TimeGrid, TimeSeries, evolve_amplitudes
 from .states import FockState, SuperpositionSpec, mean_photon_number, superposed_state, truncation_dim
 
-# 0.005 keeps composite Simpson converged to ~1e-9 for nu <= 100 states,
-# which the grid-halving stability requirement (< 1e-6) needs; 0.02 leaves
-# ~5e-5 residuals on spread-out states
+# Composite Simpson at 0.005 is not uniformly converged: against step 0.001,
+# the Renyi sum (2, 2/3) of the 2-cat at nu = 30, t = 0.37 T_rev is off by
+# 1e-9 and of the 3-cat at t = 0 by 1e-14, but of the 2-cat at nu = 35,
+# t = T_rev/4 by 2.0e-5 (6.6e-6 at 0.0025).  Step 0.02 leaves ~5e-5 residuals.
 DEFAULT_GRID_STEP = 0.005
 DEFAULT_GRID_PAD = 6.0
 _DENSITY_FLOOR = 1e-300

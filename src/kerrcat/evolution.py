@@ -21,6 +21,7 @@ from .states import (
     coherent_amplitudes,
     truncation_dim,
 )
+from .textfmt import fill, float_strings, labelled_lines
 
 # 2 pi to extended precision, parsed as longdouble for phase reduction
 _TWO_PI_LD = np.longdouble("6.283185307179586476925286766559")
@@ -90,9 +91,9 @@ class TimeSeries:
         if self.observable:
             lines.insert(0, f"# observable={self.observable}")
         lines.append("t_over_Trev,value")
-        for f, v in zip(self.grid.fractions, self.values):
-            lines.append(f"{f:.17g},{v:.17g}")
-        return "\n".join(lines) + "\n"
+        lines.append(fill(labelled_lines(float_strings(self.grid.fractions)), self.values))
+        lines.append("")
+        return "\n".join(lines)
 
 
 def _phase_factors(dim: int, chi: float, t: float) -> np.ndarray:

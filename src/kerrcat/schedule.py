@@ -29,6 +29,10 @@ from .evolution import TimeSeries
 
 ROTATION = "rotation"
 K_SUBPACKET = "k_subpacket"
+# burst threshold floor relative to the series scale: rounding noise of a
+# constant moment sits near 1e-16 of its value, while the bursts of the
+# nu = 100 moment series up to x^9 reach at least 8% of theirs
+_SCALE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True, order=True)
@@ -141,7 +145,9 @@ def detect_bursts(series: TimeSeries, n_mads: float = 5.0, rel_floor: float = 1e
     """Centers of burst windows where |value - plateau| exceeds 5 MAD.
 
     plateau = median of the series; the threshold has a small floor relative
-    to the largest deviation so a noise-free plateau cannot produce windows.
+    to the largest deviation so a noise-free plateau cannot produce windows,
+    and a floor of 1e-10 of the largest |value| so a constant moment, whose
+    deviations are rounding noise, produces none either.
     The deviation signal is evenly reflected at both ends, so a burst centered
     on the final sample (a window ending exactly on a fractional time) is
     completed symmetrically instead of being truncated.  Windows separated by
@@ -155,7 +161,7 @@ def detect_bursts(series: TimeSeries, n_mads: float = 5.0, rel_floor: float = 1e
     dev = vals - np.median(vals)
     mad = np.median(np.abs(dev))
     peak = np.max(np.abs(dev))
-    threshold = max(n_mads * mad, rel_floor * peak)
+    threshold = max(n_mads * mad, rel_floor * peak, _SCALE_FLOOR * np.max(np.abs(vals)))
     if threshold == 0 or peak == 0:
         return []
     dev_ext, pad = _reflect(dev)

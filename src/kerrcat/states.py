@@ -19,6 +19,9 @@ from scipy.stats import poisson
 
 DEFAULT_PHASE = np.pi / 4  # alpha phase used for every study in this package
 TRUNCATION_EPS = 1e-12
+# amplitudes below this magnitude are stored as exact zeros: their parts would
+# sit near the subnormal range, where one rounding moves |c_n| by up to 1e-6
+_AMPLITUDE_FLOOR = 1e-300
 
 
 class TruncationError(ValueError):
@@ -114,7 +117,7 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     """Unnormalized coherent amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!).
 
     Magnitudes are assembled in log space so that nu = 100, n ~ 300 stays
-    far from overflow.
+    far from overflow; magnitudes below 1e-300 are set to exact zero.
     """
     n = np.arange(n_max + 1)
     nu = abs(alpha) ** 2
@@ -123,7 +126,9 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
         amp[0] = 1.0
         return amp
     log_mag = -nu / 2 + n * math.log(abs(alpha)) - gammaln(n + 1) / 2
-    return np.exp(log_mag + 1j * n * np.angle(alpha))
+    amp = np.exp(log_mag + 1j * n * np.angle(alpha))
+    amp[np.abs(amp) < _AMPLITUDE_FLOOR] = 0.0
+    return amp
 
 
 def _check_tail(amp: np.ndarray, what: str) -> None:
@@ -151,7 +156,8 @@ def superposed_state(spec: SuperpositionSpec, n_max: int | None = None) -> FockS
     """Cat state of order l with offset h, built on its number-state progression.
 
     Amplitudes are proportional to alpha^m / sqrt(m!) on m = h (mod l) and
-    exactly zero elsewhere; normalization is always redone numerically.
+    exactly zero elsewhere and below 1e-300; normalization is always redone
+    numerically.
     """
     if n_max is None:
         n_max = truncation_dim(spec.nu)
@@ -163,6 +169,7 @@ def superposed_state(spec: SuperpositionSpec, n_max: int | None = None) -> FockS
     log_mag = -spec.nu / 2 + m * math.log(math.sqrt(spec.nu)) - gammaln(m + 1) / 2
     amp[m] = np.exp(log_mag + 1j * m * spec.theta)
     amp = amp / np.linalg.norm(amp)
+    amp[np.abs(amp) < _AMPLITUDE_FLOOR] = 0.0
     _check_tail(amp, f"superposed_state(l={spec.l}, h={spec.h}, nu={spec.nu})")
     return FockState(amp)
 
@@ -217,7 +224,10 @@ def rotate_state(state: FockState, phi: float) -> FockState:
     """Phase-space rotation by phi, c_n -> c_n exp(-i n phi).
 
     Maps a coherent state with label alpha to one with label alpha exp(-i phi),
-    i.e. phi > 0 rotates clockwise.  Preserves every |c_n| exactly.
+    i.e. phi > 0 rotates clockwise.  Preserves every |c_n| up to one rounding
+    of the complex product (relative ~1e-16) while the real and imaginary
+    parts stay clear of the subnormal range; the state constructors store
+    magnitudes below 1e-300 as exact zeros for that reason.
     """
     n = np.arange(state.amplitudes.size)
     return FockState(state.amplitudes * np.exp(-1j * n * phi))

@@ -9,6 +9,7 @@ from kerrcat import (
     KerrParams,
     SuperpositionSpec,
     TimeGrid,
+    TimeSeries,
     analytic_state_at,
     autocorrelation,
     coherent_state,
@@ -159,3 +160,13 @@ def test_time_series_csv_format():
     assert lines[0].startswith("# observable=autocorrelation")
     assert "t_over_Trev,value" in lines
     assert len([ln for ln in lines if "," in ln and not ln.startswith("#")]) == 4
+
+
+def test_time_series_csv_matches_per_value_layout():
+    # golden layout: one f-string per value, as the writer was first specified
+    fractions = np.array([0.0, 1e-7, 0.123456789, 1 / 3, 1.0])
+    values = np.array([-0.0, 2.5e-310, -1.0e22, np.pi, 100.5])
+    series = TimeSeries(TimeGrid(fractions), values, "x^2", {"nu": 100.0, "l": 3})
+    lines = ["# observable=x^2", "# l=3", "# nu=100.0", "t_over_Trev,value"]
+    lines += [f"{f:.17g},{v:.17g}" for f, v in zip(fractions, values)]
+    assert series.to_csv() == "\n".join(lines) + "\n"

@@ -148,6 +148,14 @@ class TestDetectBursts:
         with pytest.raises(ValueError):
             detect_bursts(series_from(np.ones(50)))
 
+    def test_constant_moment_with_rounding_noise_empty(self):
+        # <x^2> of the 3-cat never bursts (no damping branch reaches it); its
+        # series varies only by rounding noise of ~1e-14 around 100.5
+        series = moment_series(SuperpositionSpec(3, 0, 100.0), "x", 2, PARAMS, TimeGrid.uniform(1441))
+        assert np.ptp(series.values) > 0
+        assert visible_burst_times(3, 2) == []
+        assert detect_bursts(series) == []
+
     def test_x4_coherent_schedule(self):
         series = moment_series(SuperpositionSpec(1, 0, 100.0), "x", 4, PARAMS, TimeGrid.uniform(2001))
         found = detect_bursts(series)

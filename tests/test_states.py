@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerrcat import (
@@ -182,12 +182,19 @@ class TestRotateState:
 
     @settings(max_examples=25, deadline=None)
     @given(phi=st.floats(-10.0, 10.0), nu=st.floats(0.0, 50.0))
+    @example(phi=1.3, nu=3e-127)  # amplitudes down to ~1e-317 before the subnormal cut
     def test_preserves_magnitudes(self, phi, nu):
         # |exp(-i n phi)| = 1 up to one rounding of the complex product
         s = coherent_state(nu)
         r = rotate_state(s, phi)
         np.testing.assert_allclose(np.abs(r.amplitudes), np.abs(s.amplitudes), rtol=5e-16, atol=0)
         assert r.norm_error() < 1e-14
+
+    def test_cat_magnitudes_at_tiny_nu(self):
+        # tails that would be subnormal are exact zeros, so rotation keeps |c_n|
+        s = superposed_state(SuperpositionSpec(1, 0, 3e-127))
+        r = rotate_state(s, 1.3)
+        np.testing.assert_allclose(np.abs(r.amplitudes), np.abs(s.amplitudes), rtol=5e-16, atol=0)
 
 
 class TestTruncationDim:

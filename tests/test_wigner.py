@@ -8,6 +8,7 @@ from kerrcat import (
     FockState,
     GridCoverageWarning,
     KerrParams,
+    PhaseSpaceField,
     PhaseSpaceGrid,
     SuperpositionSpec,
     coherent_state,
@@ -123,6 +124,70 @@ class TestField:
         mat = field.to_gnuplot_matrix().splitlines()
         assert mat[0].split()[0] == "21"
         assert len(mat) == 1 + 21
+
+
+class TestRadiusGroupedKernel:
+    """The grid path reuses one radial recurrence per distinct radius; single
+    points share nothing, so a per-point loop is an independent route."""
+
+    @staticmethod
+    def _state():
+        # complex rho_{n+k,n} on every diagonal, small basis for the point loop
+        return evolve(superposed_state(SuperpositionSpec(2, 0, 5.0), 40), PARAMS, T_REV / 8)
+
+    def test_asymmetric_grid_matches_point_loop(self):
+        state = self._state()
+        grid = PhaseSpaceGrid(-7.6, 8.3, -7.9, 8.1, 13, 9)
+        field = wigner_field(state, grid)
+        xs, ps = grid.xs(), grid.ps()
+        loop = np.array([[wigner_on_points(state, x, p) for p in ps] for x in xs])
+        np.testing.assert_allclose(field.values, loop, rtol=0, atol=1e-13)
+
+    def test_scattered_points_match_point_loop(self):
+        state = self._state()
+        rng = np.random.default_rng(11)
+        x, p = rng.uniform(-5, 5, 200), rng.uniform(-5, 5, 200)
+        assert np.unique(x * x + p * p).size == 200  # no radius repeats
+        batch = wigner_on_points(state, x, p)
+        loop = np.array([wigner_on_points(state, xi, pi) for xi, pi in zip(x, p)])
+        np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-13)
+
+    def test_coherent_field_is_displaced_gaussian(self):
+        nu, theta = 6.0, np.pi / 6
+        x0 = math.sqrt(2 * nu) * math.cos(theta)
+        p0 = math.sqrt(2 * nu) * math.sin(theta)
+        field = wigner_field(coherent_state(nu, theta), PhaseSpaceGrid(-4.0, 8.0, -5.0, 7.0, 61, 49))
+        X, P = np.meshgrid(field.grid.xs(), field.grid.ps(), indexing="ij")
+        want = np.exp(-((X - x0) ** 2) - (P - p0) ** 2) / np.pi
+        np.testing.assert_allclose(field.values, want, rtol=0, atol=1e-10)
+
+
+class TestWriterGolden:
+    """Both writers against the per-value f-string layout they were specified with."""
+
+    @staticmethod
+    def _field():
+        grid = PhaseSpaceGrid(-1.25, 2.0, -0.3, 1e-3, 7, 5)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-30, 30, (7, 5))
+        values[0, 0], values[1, 1], values[2, 2] = -0.0, 3e-310, 1.0
+        return PhaseSpaceField(grid, values)
+
+    def test_csv_bytes(self):
+        field = self._field()
+        want = ["x,p,W"]
+        for i, x in enumerate(field.grid.xs()):
+            for j, p in enumerate(field.grid.ps()):
+                want.append(f"{x:.17g},{p:.17g},{field.values[i, j]:.17g}")
+        assert field.to_csv() == "\n".join(want) + "\n"
+
+    def test_gnuplot_bytes(self):
+        field = self._field()
+        xs, ps = field.grid.xs(), field.grid.ps()
+        want = [" ".join([str(len(xs))] + [f"{x:.17g}" for x in xs])]
+        for j, p in enumerate(ps):
+            want.append(" ".join([f"{p:.17g}"] + [f"{field.values[i, j]:.17g}" for i in range(len(xs))]))
+        assert field.to_gnuplot_matrix() == "\n".join(want) + "\n"
 
 
 class TestSymmetryAndLobes:
