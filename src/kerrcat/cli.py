@@ -5,6 +5,11 @@ Subcommands:
   validate            run the cross-module invariant checks, exit nonzero on failure
   custom <config>     run an arbitrary experiment described by a flat JSON config
 
+Each figure is one row of the FIGURES table, a list of outputs (Wigner portrait,
+Renyi-sum or moment series); `figure` and `custom` write every output through
+the same writer.  `custom` takes only --out-dir on the command line: its basis
+size and sample count are the config keys n_max and t_points.
+
 BLAS threading is fixed when numpy loads, before any argument is parsed, so
 the thread count is set in the environment at launch
 (OPENBLAS_NUM_THREADS=1 kerrcat ...), not by a flag.
@@ -15,8 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +33,6 @@ from .evolution import (
     KerrParams,
     TimeGrid,
     analytic_state_at,
-    autocorrelation,
     evolve,
 )
 from .entropy import RenyiPair, entropy_series, renyi_bound, renyi_uncertainty_sum
@@ -56,6 +61,16 @@ from .states import (
 from .wigner import PhaseSpaceGrid, count_lobes, default_grid, wigner_field
 
 
+# JSON type behind each annotation of ExperimentConfig; true/false is not a number
+_JSON_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "list[float]": list}
+
+
+def _has_type(value, kind) -> bool:
+    if kind is list:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, numbers.Real) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Flat key-value experiment description (JSON on disk)."""
@@ -69,10 +84,10 @@ class ExperimentConfig:
     t_stop: float = 1.0
     t_points: int = 2001
     moment_observable: str = "x"
-    moment_powers: list = field(default_factory=list)
+    moment_powers: list[float] = field(default_factory=list)
     entropy_zeta: float | None = None
     entropy_eta: float | None = None
-    wigner_times: list = field(default_factory=list)
+    wigner_times: list[float] = field(default_factory=list)
     wigner_points: int = 401
     n_max: int | None = None
     out_dir: str = "out"
@@ -94,7 +109,12 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        SuperpositionSpec(self.l, self.h, self.nu, self.theta)  # raises on bad fields
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if not (_has_type(value, _JSON_TYPES[kind]) or optional and value is None):
+                raise ValueError(f"field {f.name!r}: expected {kind}, got {value!r}")
+        self.spec()  # raises on bad fields
         if self.chi <= 0:
             raise ValueError("field 'chi': must be positive")
         if not 0 <= self.t_start < self.t_stop <= 1:
@@ -126,124 +146,98 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _series_file(out: Path, name: str, series) -> None:
-    _write(out / f"{name}.csv", series.to_csv())
+_DEFAULT_POINTS = {"wigner": 401, "renyi": 1001, "moment": 2001}  # per axis for "wigner"
+_STUDY_PAIR = RenyiPair(2 / 3, 2.0)
 
-
-def _wigner_files(out: Path, name: str, spec: SuperpositionSpec, fraction: float,
-                  chi: float, points: int, n_max: int | None) -> None:
-    params = KerrParams(chi)
-    state = superposed_state(spec, n_max)
-    moved = evolve(state, params, fraction * params.t_rev)
-    grid = default_grid(moved, points)
-    fld = wigner_field(moved, grid)
-    header = (
-        f"# l={spec.l} h={spec.h} nu={spec.nu} theta={spec.theta} chi={chi}"
-        f" t_over_Trev={fraction} n_max={state.n_max} grid={points}x{points}\n"
-    )
-    _write(out / f"{name}.csv", header + fld.to_csv())
-    _write(out / f"{name}.dat", fld.to_gnuplot_matrix())
-
-
-def _moment_figure(out: Path, name: str, l: int, nu: float, power: int, stop: float,
-                   chi: float, points: int, n_max: int | None) -> None:
-    spec = SuperpositionSpec(l, 0, nu)
-    grid = TimeGrid.uniform(points, 0.0, stop)
-    series = moment_series(spec, "x", power, KerrParams(chi), grid, n_max)
-    _series_file(out, name, series)
-
-
-def _entropy_figure(out: Path, name: str, l: int, nu: float, stop: float,
-                    chi: float, points: int, n_max: int | None) -> None:
-    spec = SuperpositionSpec(l, 0, nu)
-    grid = TimeGrid.uniform(points, 0.0, stop)
-    series = entropy_series(spec, KerrParams(chi), grid, RenyiPair(2 / 3, 2.0), n_max)
-    _series_file(out, name, series)
-
-
+# name -> (description, [(file stem, l, nu, kind, time)]); kind is "wigner" (portrait
+# at t = time T_rev), "renyi" or "x<m>" (series on [0, time] T_rev); h = 0 throughout
 FIGURES = {
-    "fig1": "Wigner portrait, coherent nu=20 at t = T_rev/4 (four-lobe superposition)",
-    "fig2": "<x^4> series, coherent nu=100, t/T_rev in [0,1]",
-    "fig3": "Renyi sum (2/3, 2), coherent nu=35, [0, 1/2]",
-    "fig4": "Wigner portraits, 2-cat nu=20 at t = 0 and T_rev/4",
-    "fig5": "Wigner portrait, 2-cat nu=20 at t = T_rev/8",
-    "fig6": "<x^2> series, 2-cat nu=100, [0,1]",
-    "fig7": "<x^4> [0,1] and <x^6> [0,1/2] series plus Renyi sum nu=30, 2-cat",
-    "fig8": "Wigner portraits, 3-cat nu=20 at t = 0 and T_rev/9",
-    "fig9": "<x^3> series, 3-cat nu=100, [0,1]; Wigner portrait 3-cat nu=20 at T_rev/18",
-    "fig10": "Renyi sum, 3-cat nu=30, [0,1/2]; companion <x^6> and <x^9> series [0,1/2]",
-    "fig11": "<x^8> series, 4-cat nu=100, [0, 1/2]",
+    "fig1": ("Wigner portrait, coherent nu=20 at t = T_rev/4 (four-lobe superposition)",
+             [("fig1_wigner_coherent_quarter", 1, 20.0, "wigner", 0.25)]),
+    "fig2": ("<x^4> series, coherent nu=100, t/T_rev in [0,1]",
+             [("fig2_x4_coherent_nu100", 1, 100.0, "x4", 1.0)]),
+    "fig3": ("Renyi sum (2/3, 2), coherent nu=35, [0, 1/2]",
+             [("fig3_renyi_coherent_nu35", 1, 35.0, "renyi", 0.5)]),
+    "fig4": ("Wigner portraits, 2-cat nu=20 at t = 0 and T_rev/4",
+             [("fig4a_wigner_cat2_t0", 2, 20.0, "wigner", 0.0),
+              ("fig4b_wigner_cat2_quarter", 2, 20.0, "wigner", 0.25)]),
+    "fig5": ("Wigner portrait, 2-cat nu=20 at t = T_rev/8",
+             [("fig5_wigner_cat2_eighth", 2, 20.0, "wigner", 0.125)]),
+    "fig6": ("<x^2> series, 2-cat nu=100, [0,1]",
+             [("fig6_x2_cat2_nu100", 2, 100.0, "x2", 1.0)]),
+    "fig7": ("<x^4> [0,1] and <x^6> [0,1/2] series plus Renyi sum nu=30, 2-cat",
+             [("fig7a_x4_cat2_nu100", 2, 100.0, "x4", 1.0),
+              ("fig7b_x6_cat2_nu100", 2, 100.0, "x6", 0.5),
+              ("fig7c_renyi_cat2_nu30", 2, 30.0, "renyi", 0.5)]),
+    "fig8": ("Wigner portraits, 3-cat nu=20 at t = 0 and T_rev/9",
+             [("fig8a_wigner_cat3_t0", 3, 20.0, "wigner", 0.0),
+              ("fig8b_wigner_cat3_ninth", 3, 20.0, "wigner", 1 / 9)]),
+    "fig9": ("<x^3> series, 3-cat nu=100, [0,1]; Wigner portrait 3-cat nu=20 at T_rev/18",
+             [("fig9_x3_cat3_nu100", 3, 100.0, "x3", 1.0),
+              ("fig9_wigner_cat3_eighteenth", 3, 20.0, "wigner", 1 / 18)]),
+    "fig10": ("Renyi sum, 3-cat nu=30, [0,1/2]; companion <x^6> and <x^9> series [0,1/2]",
+              [("fig10_renyi_cat3_nu30", 3, 30.0, "renyi", 0.5),
+               ("fig10b_x6_cat3_nu100", 3, 100.0, "x6", 0.5),
+               ("fig10c_x9_cat3_nu100", 3, 100.0, "x9", 0.5)]),
+    "fig11": ("<x^8> series, 4-cat nu=100, [0, 1/2]",
+              [("fig11_x8_cat4_nu100", 4, 100.0, "x8", 0.5)]),
 }
 
 
+def _write_output(out: Path, stem: str, spec: SuperpositionSpec, kind: str, time: float,
+                  chi: float, points: int, n_max: int | None, start: float = 0.0,
+                  pair: RenyiPair = _STUDY_PAIR) -> None:
+    """Write one output: a Wigner portrait at t = time T_rev (`stem`.csv and .dat),
+    or a Renyi-sum or <o^m> series ("renyi", "x4", "p2", ...) on [start, time] T_rev."""
+    params = KerrParams(chi)
+    if kind == "wigner":
+        state = superposed_state(spec, n_max)
+        moved = evolve(state, params, time * params.t_rev)
+        fld = wigner_field(moved, default_grid(moved, points))
+        header = (
+            f"# l={spec.l} h={spec.h} nu={spec.nu} theta={spec.theta} chi={chi}"
+            f" t_over_Trev={time} n_max={state.n_max} grid={points}x{points}\n"
+        )
+        _write(out / f"{stem}.csv", header + fld.to_csv())
+        _write(out / f"{stem}.dat", fld.to_gnuplot_matrix())
+        return
+    grid = TimeGrid.uniform(points, start, time)
+    if kind == "renyi":
+        series = entropy_series(spec, params, grid, pair, n_max)
+    else:
+        series = moment_series(spec, kind[0], int(kind[1:]), params, grid, n_max)
+    _write(out / f"{stem}.csv", series.to_csv())
+
+
 def run_figure(name: str, out_dir: str | Path = "out", n_max: int | None = None,
-               grid_points: int | None = None, chi: float = 1.0) -> None:
+               grid_points: int | None = None) -> None:
     """Write the data files behind one named figure with its study parameters."""
     if name not in FIGURES:
         raise KeyError(f"unknown figure {name!r}; choose from {sorted(FIGURES)} or 'all'")
-    out = Path(out_dir)
-    sp = grid_points or 2001  # series points
-    wp = grid_points or 401   # wigner points per axis
-    print(f"{name}: {FIGURES[name]}")
-    if name == "fig1":
-        _wigner_files(out, "fig1_wigner_coherent_quarter", SuperpositionSpec(1, 0, 20.0),
-                      0.25, chi, wp, n_max)
-    elif name == "fig2":
-        _moment_figure(out, "fig2_x4_coherent_nu100", 1, 100.0, 4, 1.0, chi, sp, n_max)
-    elif name == "fig3":
-        _entropy_figure(out, "fig3_renyi_coherent_nu35", 1, 35.0, 0.5, chi,
-                        grid_points or 1001, n_max)
-    elif name == "fig4":
-        _wigner_files(out, "fig4a_wigner_cat2_t0", SuperpositionSpec(2, 0, 20.0), 0.0,
-                      chi, wp, n_max)
-        _wigner_files(out, "fig4b_wigner_cat2_quarter", SuperpositionSpec(2, 0, 20.0), 0.25,
-                      chi, wp, n_max)
-    elif name == "fig5":
-        _wigner_files(out, "fig5_wigner_cat2_eighth", SuperpositionSpec(2, 0, 20.0), 0.125,
-                      chi, wp, n_max)
-    elif name == "fig6":
-        _moment_figure(out, "fig6_x2_cat2_nu100", 2, 100.0, 2, 1.0, chi, sp, n_max)
-    elif name == "fig7":
-        _moment_figure(out, "fig7a_x4_cat2_nu100", 2, 100.0, 4, 1.0, chi, sp, n_max)
-        _moment_figure(out, "fig7b_x6_cat2_nu100", 2, 100.0, 6, 0.5, chi, sp, n_max)
-        _entropy_figure(out, "fig7c_renyi_cat2_nu30", 2, 30.0, 0.5, chi,
-                        grid_points or 1001, n_max)
-    elif name == "fig8":
-        _wigner_files(out, "fig8a_wigner_cat3_t0", SuperpositionSpec(3, 0, 20.0), 0.0,
-                      chi, wp, n_max)
-        _wigner_files(out, "fig8b_wigner_cat3_ninth", SuperpositionSpec(3, 0, 20.0), 1 / 9,
-                      chi, wp, n_max)
-    elif name == "fig9":
-        _moment_figure(out, "fig9_x3_cat3_nu100", 3, 100.0, 3, 1.0, chi, sp, n_max)
-        _wigner_files(out, "fig9_wigner_cat3_eighteenth", SuperpositionSpec(3, 0, 20.0),
-                      1 / 18, chi, wp, n_max)
-    elif name == "fig10":
-        _entropy_figure(out, "fig10_renyi_cat3_nu30", 3, 30.0, 0.5, chi,
-                        grid_points or 1001, n_max)
-        _moment_figure(out, "fig10b_x6_cat3_nu100", 3, 100.0, 6, 0.5, chi, sp, n_max)
-        _moment_figure(out, "fig10c_x9_cat3_nu100", 3, 100.0, 9, 0.5, chi, sp, n_max)
-    elif name == "fig11":
-        _moment_figure(out, "fig11_x8_cat4_nu100", 4, 100.0, 8, 0.5, chi, sp, n_max)
+    description, outputs = FIGURES[name]
+    print(f"{name}: {description}")
+    for stem, l, nu, kind, time in outputs:
+        points = grid_points or _DEFAULT_POINTS.get(kind, _DEFAULT_POINTS["moment"])
+        _write_output(Path(out_dir), stem, SuperpositionSpec(l, 0, nu), kind, time, 1.0,
+                      points, n_max)
 
 
 def run_custom(config: ExperimentConfig) -> None:
     config.validate()
     out = Path(config.out_dir)
-    params = KerrParams(config.chi)
     spec = config.spec()
-    grid = TimeGrid.uniform(config.t_points, config.t_start, config.t_stop)
-    tag = f"l{config.l}h{config.h}_nu{config.nu:g}"
-    for power in config.moment_powers:
-        series = moment_series(spec, config.moment_observable, int(power), params, grid,
-                               config.n_max)
-        _series_file(out, f"custom_{tag}_{config.moment_observable}{int(power)}", series)
+    tag = f"custom_l{config.l}h{config.h}_nu{config.nu:g}"
+    kinds = [f"{config.moment_observable}{int(power)}" for power in config.moment_powers]
+    pair = _STUDY_PAIR
     if config.entropy_zeta is not None:
+        kinds.append("renyi")
         pair = RenyiPair(config.entropy_zeta, config.entropy_eta)
-        series = entropy_series(spec, params, grid, pair, config.n_max)
-        _series_file(out, f"custom_{tag}_renyi", series)
+    for kind in kinds:
+        _write_output(out, f"{tag}_{kind}", spec, kind, config.t_stop, config.chi,
+                      config.t_points, config.n_max, config.t_start, pair)
     for frac in config.wigner_times:
         label = f"{frac:g}".replace(".", "p")
-        _wigner_files(out, f"custom_{tag}_wigner_t{label}", spec, float(frac), config.chi,
+        _write_output(out, f"{tag}_wigner_t{label}", spec, "wigner", float(frac), config.chi,
                       config.wigner_points, config.n_max)
 
 
@@ -419,8 +413,6 @@ def main(argv: list[str] | None = None) -> int:
     p_cus = sub.add_parser("custom", help="run an experiment from a JSON config")
     p_cus.add_argument("config")
     p_cus.add_argument("--out-dir", default=None)
-    p_cus.add_argument("--n-max", type=int, default=None)
-    p_cus.add_argument("--grid-points", type=int, default=None)
 
     args = parser.parse_args(argv)
     try:
@@ -435,10 +427,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg = ExperimentConfig.from_file(args.config)
             if args.out_dir:
                 cfg.out_dir = args.out_dir
-            if args.n_max:
-                cfg.n_max = args.n_max
-            if args.grid_points:
-                cfg.t_points = args.grid_points
             run_custom(cfg)
             return 0
     except (KeyError, ValueError, TruncationError) as exc:

@@ -136,11 +136,7 @@ def renyi_entropy(density: DensityProfile, order: float) -> float:
     """
     if order <= 0:
         raise ValueError("order must be positive")
-    f, x = density.values, density.grid
-    if abs(order - 1.0) < 1e-12:
-        g = np.where(f > 0, f * np.log(np.maximum(f, _DENSITY_FLOOR)), 0.0)
-        return float(-simpson(g, x=x))
-    return float(np.log(simpson(f**order, x=x)) / (1.0 - order))
+    return float(_renyi_on_rows(density.values, density.grid, order))
 
 
 def renyi_bound(pair: RenyiPair) -> float:

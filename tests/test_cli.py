@@ -128,6 +128,30 @@ class TestFigureCommand:
         with pytest.raises(KeyError):
             run_figure("fig99")
 
+    def test_every_figure_file(self, tmp_path):
+        for name in cli.FIGURES:
+            run_figure(name, out_dir=tmp_path, grid_points=41)
+        portraits = [
+            "fig1_wigner_coherent_quarter", "fig4a_wigner_cat2_t0", "fig4b_wigner_cat2_quarter",
+            "fig5_wigner_cat2_eighth", "fig8a_wigner_cat3_t0", "fig8b_wigner_cat3_ninth",
+            "fig9_wigner_cat3_eighteenth",
+        ]
+        moments = [
+            "fig10b_x6_cat3_nu100", "fig10c_x9_cat3_nu100", "fig11_x8_cat4_nu100",
+            "fig2_x4_coherent_nu100", "fig6_x2_cat2_nu100", "fig7a_x4_cat2_nu100",
+            "fig7b_x6_cat2_nu100", "fig9_x3_cat3_nu100",
+        ]
+        renyi = ["fig10_renyi_cat3_nu30", "fig3_renyi_coherent_nu35", "fig7c_renyi_cat2_nu30"]
+        # provenance lines, column header, then one row per sample
+        want = {f"{s}.csv": 2 + 41 * 41 for s in portraits}
+        want.update({f"{s}.dat": 1 + 41 for s in portraits})
+        want.update({f"{s}.csv": 8 + 41 for s in moments})
+        want.update({f"{s}.csv": 10 + 41 for s in renyi})
+        assert len(want) == 25
+        got = {f.name: len(f.read_text().splitlines()) for f in tmp_path.iterdir()}
+        assert sorted(got) == sorted(want)
+        assert got == want
+
 
 class TestMain:
     def test_figure_exit_codes(self, tmp_path):
@@ -138,6 +162,15 @@ class TestMain:
         path = write_config(tmp_path / "bad.json", moment_powers=[])
         assert cli.main(["custom", str(path)]) == 2
         assert "empty observable list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("t_points", 201.5), ("nu", "20"), ("moment_powers", 2),
+    ])
+    def test_custom_wrong_type_reported(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path / "typed.json", **{field: value})
+        assert cli.main(["custom", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{field}'" in err
 
     def test_validate_passes(self):
         assert run_validate() == 0

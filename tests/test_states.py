@@ -108,6 +108,13 @@ class TestSuperposedState:
         assert np.all(s.amplitudes[n % l != h] == 0)
         assert s.norm_error() < 1e-12
 
+    @pytest.mark.parametrize("l,h,nu", [(4, 3, 1e-210), (3, 2, 1e-170)])
+    def test_leading_term_below_norm_underflow(self, l, h, nu):
+        # the leading magnitude (~1e-316, ~1e-170) squares to zero in a plain norm
+        s = superposed_state(SuperpositionSpec(l, h, nu))
+        assert abs(s.amplitudes[h]) == pytest.approx(1.0, abs=4e-16)
+        assert s.amplitudes[h] == pytest.approx(np.exp(1j * h * np.pi / 4), abs=4e-16)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SuperpositionSpec(0, 0, 1.0)
