@@ -61,14 +61,22 @@ from .states import (
 from .wigner import PhaseSpaceGrid, count_lobes, default_grid, wigner_field
 
 
-# JSON type behind each annotation of ExperimentConfig; true/false is not a number
-_JSON_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "list[float]": list}
+# JSON type of each ExperimentConfig field (a list holds numbers); a field whose
+# default is None may also be null
+_FIELD_TYPES = {
+    "l": int, "h": int, "nu": float, "theta": float, "chi": float, "t_start": float,
+    "t_stop": float, "t_points": int, "moment_observable": str, "moment_powers": list,
+    "entropy_zeta": float, "entropy_eta": float, "wigner_times": list,
+    "wigner_points": int, "n_max": int, "out_dir": str,
+}
 
 
 def _has_type(value, kind) -> bool:
     if kind is list:
-        return isinstance(value, (list, tuple)) and all(_has_type(v, numbers.Real) for v in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
+        return isinstance(value, list) and all(_has_type(v, float) for v in value)
+    if kind is float:
+        kind = numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)  # true is not a number
 
 
 @dataclass
@@ -84,10 +92,10 @@ class ExperimentConfig:
     t_stop: float = 1.0
     t_points: int = 2001
     moment_observable: str = "x"
-    moment_powers: list[float] = field(default_factory=list)
+    moment_powers: list = field(default_factory=list)
     entropy_zeta: float | None = None
     entropy_eta: float | None = None
-    wigner_times: list[float] = field(default_factory=list)
+    wigner_times: list = field(default_factory=list)
     wigner_points: int = 401
     n_max: int | None = None
     out_dir: str = "out"
@@ -110,10 +118,12 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            kind, _, optional = f.type.partition(" | ")
-            value = getattr(self, f.name)
-            if not (_has_type(value, _JSON_TYPES[kind]) or optional and value is None):
-                raise ValueError(f"field {f.name!r}: expected {kind}, got {value!r}")
+            kind, value = _FIELD_TYPES[f.name], getattr(self, f.name)
+            if kind is int and _has_type(value, float) and float(value).is_integer():
+                value = int(value)  # JSON 2.0 names the integer 2
+                setattr(self, f.name, value)
+            if not (_has_type(value, kind) or value is None and f.default is None):
+                raise ValueError(f"field {f.name!r}: expected {kind.__name__}, got {value!r}")
         self.spec()  # raises on bad fields
         if self.chi <= 0:
             raise ValueError("field 'chi': must be positive")
@@ -146,7 +156,8 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-_DEFAULT_POINTS = {"wigner": 401, "renyi": 1001, "moment": 2001}  # per axis for "wigner"
+# samples per output kind (per axis for a portrait); moment series take 2001
+_DEFAULT_POINTS = {"wigner": 401, "renyi": 1001}
 _STUDY_PAIR = RenyiPair(2 / 3, 2.0)
 
 # name -> (description, [(file stem, l, nu, kind, time)]); kind is "wigner" (portrait
@@ -217,7 +228,7 @@ def run_figure(name: str, out_dir: str | Path = "out", n_max: int | None = None,
     description, outputs = FIGURES[name]
     print(f"{name}: {description}")
     for stem, l, nu, kind, time in outputs:
-        points = grid_points or _DEFAULT_POINTS.get(kind, _DEFAULT_POINTS["moment"])
+        points = grid_points or _DEFAULT_POINTS.get(kind, 2001)
         _write_output(Path(out_dir), stem, SuperpositionSpec(l, 0, nu), kind, time, 1.0,
                       points, n_max)
 

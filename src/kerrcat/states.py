@@ -22,10 +22,6 @@ TRUNCATION_EPS = 1e-12
 # amplitudes below this magnitude are stored as exact zeros: their parts would
 # sit near the subnormal range, where one rounding moves |c_n| by up to 1e-6
 _AMPLITUDE_FLOOR = 1e-300
-# a cat whose largest log-magnitude is below this (tiny nu, h > 0) is built with that
-# maximum subtracted, as its squares would underflow in the norm (below ~exp(-354));
-# other cats are built unshifted, because the shift moves the last bit of amplitudes
-_LOG_SHIFT_BELOW = -300.0
 
 
 class TruncationError(ValueError):
@@ -171,9 +167,7 @@ def superposed_state(spec: SuperpositionSpec, n_max: int | None = None) -> FockS
         amp[spec.h] = 1.0  # alpha -> 0 limit keeps the leading progression term
         return FockState(amp)
     log_mag = -spec.nu / 2 + m * math.log(math.sqrt(spec.nu)) - gammaln(m + 1) / 2
-    top = log_mag.max()
-    if top < _LOG_SHIFT_BELOW:
-        log_mag -= top
+    log_mag -= log_mag.max()  # else a tiny-nu cat (h > 0) underflows to 0 in the norm
     amp[m] = np.exp(log_mag + 1j * m * spec.theta)
     amp = amp / np.linalg.norm(amp)
     amp[np.abs(amp) < _AMPLITUDE_FLOOR] = 0.0

@@ -128,9 +128,8 @@ class TestFigureCommand:
         with pytest.raises(KeyError):
             run_figure("fig99")
 
-    def test_every_figure_file(self, tmp_path):
-        for name in cli.FIGURES:
-            run_figure(name, out_dir=tmp_path, grid_points=41)
+    def test_every_figure_file(self, tmp_path, capsys):
+        assert cli.main(["figure", "all", "--grid-points", "41", "--out-dir", str(tmp_path)]) == 0
         portraits = [
             "fig1_wigner_coherent_quarter", "fig4a_wigner_cat2_t0", "fig4b_wigner_cat2_quarter",
             "fig5_wigner_cat2_eighth", "fig8a_wigner_cat3_t0", "fig8b_wigner_cat3_ninth",
@@ -165,12 +164,20 @@ class TestMain:
 
     @pytest.mark.parametrize("field,value", [
         ("t_points", 201.5), ("nu", "20"), ("moment_powers", 2),
+        ("l", True), ("moment_powers", [True]),
     ])
     def test_custom_wrong_type_reported(self, tmp_path, capsys, field, value):
         path = write_config(tmp_path / "typed.json", **{field: value})
         assert cli.main(["custom", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
+
+    def test_custom_integral_floats_taken_as_integers(self, tmp_path, capsys):
+        path = write_config(tmp_path / "floats.json", l=2.0, t_points=41.0, n_max=80.0,
+                            moment_powers=[2.0])
+        assert cli.main(["custom", str(path)]) == 0
+        data = (tmp_path / "out" / "custom_l2h0_nu20_x2.csv").read_text().splitlines()
+        assert len([row for row in data if not row.startswith("#")]) == 1 + 41
 
     def test_validate_passes(self):
         assert run_validate() == 0
