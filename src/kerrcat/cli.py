@@ -44,6 +44,7 @@ from .moments import (
     ladder_moment_oracle,
     moment_scale,
     moment_series,
+    p_moment_oracle,
     x2_even_cat,
     x3_three_cat,
     x_moment_oracle,
@@ -77,6 +78,21 @@ def _has_type(value, kind) -> bool:
     if kind is float:
         kind = numbers.Real
     return isinstance(value, kind) and not isinstance(value, bool)  # true is not a number
+
+
+def _time_label(frac: float) -> str:
+    return f"{frac:g}".replace(".", "p")
+
+
+def _require_distinct(name: str, entries: list, label) -> None:
+    """Entries of a list field must name different output files."""
+    seen = {}
+    for entry in entries:
+        key = label(entry)
+        if key in seen:
+            raise ValueError(f"field {name!r}: {seen[key]!r} and {entry!r} would write the "
+                             f"same output file ({key})")
+        seen[key] = entry
 
 
 @dataclass
@@ -136,6 +152,8 @@ class ExperimentConfig:
         for k in self.moment_powers:
             if int(k) != k or k < 1:
                 raise ValueError("field 'moment_powers': entries must be positive integers")
+        _require_distinct("moment_powers", self.moment_powers,
+                          lambda k: f"{self.moment_observable}{int(k)}")
         if (self.entropy_zeta is None) != (self.entropy_eta is None):
             raise ValueError("fields 'entropy_zeta'/'entropy_eta': set both or neither")
         if self.entropy_zeta is not None:
@@ -143,6 +161,7 @@ class ExperimentConfig:
         for t in self.wigner_times:
             if not 0 <= t <= 1:
                 raise ValueError("field 'wigner_times': entries must lie in [0, 1]")
+        _require_distinct("wigner_times", self.wigner_times, _time_label)
         if not self.moment_powers and self.entropy_zeta is None and not self.wigner_times:
             raise ValueError("empty observable list: request moments, entropy, or wigner data")
 
@@ -247,9 +266,8 @@ def run_custom(config: ExperimentConfig) -> None:
         _write_output(out, f"{tag}_{kind}", spec, kind, config.t_stop, config.chi,
                       config.t_points, config.n_max, config.t_start, pair)
     for frac in config.wigner_times:
-        label = f"{frac:g}".replace(".", "p")
-        _write_output(out, f"{tag}_wigner_t{label}", spec, "wigner", float(frac), config.chi,
-                      config.wigner_points, config.n_max)
+        _write_output(out, f"{tag}_wigner_t{_time_label(frac)}", spec, "wigner", float(frac),
+                      config.chi, config.wigner_points, config.n_max)
 
 
 # validation suite -----------------------------------------------------------
@@ -319,6 +337,25 @@ def _validate_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
         return f"worst scaled error {worst:.3e}"
 
     checks.append(_check("closed forms against matrix oracle", closed_forms))
+
+    def band_series():
+        worst = 0.0
+        for l, h, observable, power in [(1, 0, "x", 9), (1, 0, "p", 4), (2, 0, "x", 8),
+                                        (2, 0, "p", 2), (3, 0, "x", 3), (3, 0, "p", 6),
+                                        (4, 0, "x", 4), (4, 0, "p", 8), (3, 1, "x", 5)]:
+            spec = SuperpositionSpec(l, h, 40.0)
+            fracs = np.unique(np.concatenate([rng.uniform(0.0, 1.0, 4),
+                                              [1 / (2 * l * l), 1 / (l * l), 1.0]]))
+            series = moment_series(spec, observable, power, params, TimeGrid(fracs))
+            oracle = x_moment_oracle if observable == "x" else p_moment_oracle
+            state = superposed_state(spec, series.meta["n_max"])
+            want = [oracle(evolve(state, params, f * t_rev), power) for f in fracs]
+            err = np.max(np.abs(series.values - want)) / (2 * spec.nu + 1) ** (power / 2)
+            worst = max(worst, err)
+        assert worst < 1e-9, f"band series vs oracle scaled error {worst}"
+        return f"worst scaled error {worst:.3e}"
+
+    checks.append(_check("moment series against matrix oracle", band_series))
 
     def parity():
         spec = SuperpositionSpec(2, 0, 100.0)

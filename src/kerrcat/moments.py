@@ -1,10 +1,22 @@
-"""Quadrature moments: brute-force ladder-matrix oracle and closed-form expressions.
+"""Quadrature moments: band-sum series, brute-force ladder-matrix oracle and closed forms.
 
-The production path for every moment series is the truncated-matrix oracle
-(apply the tridiagonal x or p matrix repeatedly and take the inner product).
+Moment series use the band route.  The Kerr propagator is diagonal, so with
+f = t / T_rev
+
+    <x^m>(t) = Re[g_0 + 2 sum_{d>0} g_d(f)],
+    g_d(f) = sum_a conj(c_a) (X^m)_{a,a+d} c_{a+d} exp(-i pi f k),  k = d(2a + d - 1),
+
+and likewise for p.  X^m is built once on the truncated basis, g_0 is
+constant, and each band d is one phase table times a weight vector; the
+phase is reduced mod 2 from the integer k, so the large products
+chi t n(n-1) never form.  The matrix oracles (apply the tridiagonal x or p
+matrix repeatedly to an `evolve`d state and take the inner product) share
+only the ladder functions with it, neither the band weights nor the phases,
+and cross-check it in the tests and in `kerrcat validate`.
 The closed forms below exist only for specific initial states and powers and
-serve as cross-checks; each one was rederived from the exact propagator and
-is validated against the oracle to 1e-9 relative accuracy at observable scale.
+serve as further cross-checks; each one was rederived from the exact
+propagator and is validated against the oracle to 1e-9 relative accuracy at
+observable scale.
 
 For an initial coherent state the exact ladder moment is
 
@@ -22,7 +34,7 @@ import math
 
 import numpy as np
 
-from .evolution import KerrParams, TimeGrid, TimeSeries, evolve_amplitudes
+from .evolution import KerrParams, TimeGrid, TimeSeries
 from .states import FockState, SuperpositionSpec, superposed_state, superposition_norm, truncation_dim
 
 DEFAULT_SERIES_POINTS = 2001
@@ -202,6 +214,36 @@ def moment_scale(nu: float, r: int, s: int) -> float:
     return float(nu ** (r + s / 2.0)) if nu > 0 else 1.0
 
 
+def _band_weights(amplitudes: np.ndarray, power: int, apply) -> list[np.ndarray]:
+    """Diagonals d = 0..power of conj(c_a) (O^power)_{a,a+d} c_{a+d}, O applied by `apply`.
+
+    O^power has bandwidth `power`, so 2 power + 1 probes recover all of it:
+    probe r sums the unit vectors e_i with i = r (mod 2 power + 1), and
+    (O^power probe_r)_j is (O^power)_{j,i} for the one such i within reach of j.
+    """
+    dim, width = amplitudes.size, 2 * power + 1
+    idx = np.arange(dim)
+    probes = (idx % width == np.arange(width)[:, None]).astype(np.float64)
+    for _ in range(power):
+        probes = apply(probes)
+    return [amplitudes[: dim - d].conj() * probes[(idx[: dim - d] + d) % width, idx[: dim - d]]
+            * amplitudes[d:] for d in range(power + 1)]
+
+
+def _half_turns(fractions: np.ndarray, d: int, a: np.ndarray) -> np.ndarray:
+    """Kerr phase of band d at entries a, in units of pi: (f k) mod 2, k = d(2a + d - 1).
+
+    k = (a+d)(a+d-1) - a(a-1) is an integer.  Each f splits into a head on a
+    2^-20 lattice, whose products with k are exact and reduce mod 2 exactly,
+    and a tail below 2^-21, so the result is exact up to the final rounding.
+    """
+    k = d * (2 * a + d - 1)
+    head = np.round(fractions * 2.0**20) / 2.0**20
+    turns = np.mod(np.multiply.outer(head, k), 2.0)
+    turns += np.multiply.outer(fractions - head, k)
+    return turns
+
+
 def moment_series(
     spec: SuperpositionSpec,
     observable: str,
@@ -210,10 +252,16 @@ def moment_series(
     grid: TimeGrid | None = None,
     n_max: int | None = None,
 ) -> TimeSeries:
-    """<x^power> or <p^power> over a time grid, computed with the matrix oracle.
+    """<x^power> or <p^power> over a time grid, summed band by band.
 
-    The basis is enlarged by the moment power so repeated matrix application
-    never touches the truncation edge.
+    Band d > 0 of the (2 power + 1)-banded x^power or p^power contributes
+    2 Re sum_a w_a exp(-i pi f k_a) with k_a = d(2a + d - 1) an integer, so the
+    phase is reduced mod 2 exactly at any f, including f = 1 where every k is
+    even.  Weights that are exactly zero (parity and the l-fold photon
+    support) or below 1e-18 of their band's largest are dropped.  The basis is
+    enlarged by the moment power, and the headroom check refuses a state with
+    weight in its top power + 10 levels, where the truncated x^power departs
+    from the full one.
     """
     if observable not in ("x", "p"):
         raise ValueError("observable must be 'x' or 'p'")
@@ -225,9 +273,14 @@ def moment_series(
         n_max = truncation_dim(spec.nu) + power
     state = superposed_state(spec, n_max)
     _require_headroom(state.amplitudes, power, f"moment_series(power={power})")
-    batch = evolve_amplitudes(state.amplitudes, params, grid.times(params))
     apply = apply_position if observable == "x" else apply_momentum
-    values = _quadrature_moment(batch, power, apply)
+    weights = _band_weights(state.amplitudes, power, apply)
+    values = np.full(grid.fractions.size, weights[0].sum().real)
+    for d, w in enumerate(weights[1:], start=1):
+        mag = np.abs(w)
+        a = np.flatnonzero(mag > 1e-18 * mag.max())
+        angle = np.pi * _half_turns(grid.fractions, d, a)
+        values += np.cos(angle) @ (2.0 * w[a].real) + np.sin(angle) @ (2.0 * w[a].imag)
     meta = {
         "l": spec.l, "h": spec.h, "nu": spec.nu, "theta": spec.theta,
         "chi": params.chi, "n_max": n_max,

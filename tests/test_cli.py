@@ -172,6 +172,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("moment_powers", [2, 2], "2 and 2"),
+        ("moment_powers", [4, 2, 4.0], "4 and 4.0"),
+        ("wigner_times", [0.125, 0.1250001], "0.125 and 0.1250001"),
+    ])
+    def test_custom_colliding_outputs_rejected(self, tmp_path, capsys, field, value, message):
+        path = write_config(tmp_path / "twice.json", **{field: value})
+        assert cli.main(["custom", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field '{field}': {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_custom_integral_floats_taken_as_integers(self, tmp_path, capsys):
         path = write_config(tmp_path / "floats.json", l=2.0, t_points=41.0, n_max=80.0,
                             moment_powers=[2.0])

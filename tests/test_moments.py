@@ -226,3 +226,58 @@ class TestMomentSeries:
     def test_rejects_bad_observable(self):
         with pytest.raises(ValueError):
             moment_series(SuperpositionSpec(1, 0, 1.0), "y", 2, PARAMS, TimeGrid.uniform(101))
+
+
+def oracle_series(spec, observable, power, grid, n_max):
+    """The moment at each sample by the matrix oracle on an evolved state."""
+    oracle = x_moment_oracle if observable == "x" else p_moment_oracle
+    state = superposed_state(spec, n_max)
+    return np.array([oracle(evolve(state, PARAMS, t), power) for t in grid.times(PARAMS)])
+
+
+class TestBandRoute:
+    """moment_series against the matrix oracle, sample by sample, at 1e-11 of
+    the observable scale (2 nu + 1)^(power/2)."""
+
+    # burst times of l <= 4, generic times, and the ends where phase reduction matters most
+    FRACTIONS = [0.0, 1 / 32, 1 / 9, 0.1234, 1 / 8, 1 / 4, 1 / 3, 0.41, 1 / 2, 0.6789,
+                 3 / 4, 0.9, 1 - 1e-6, 1 - 1e-9, 1.0]
+
+    def check(self, spec, observable, power, grid, n_max=None):
+        series = moment_series(spec, observable, power, PARAMS, grid, n_max)
+        want = oracle_series(spec, observable, power, grid, series.meta["n_max"])
+        scale = (2 * spec.nu + 1) ** (power / 2)
+        assert np.max(np.abs(series.values - want)) < 1e-11 * scale
+        return series, want
+
+    def test_nonuniform_grid_through_full_revival(self):
+        spec = SuperpositionSpec(1, 0, 30.0)
+        grid = TimeGrid(np.array(self.FRACTIONS))
+        for power in (3, 4):
+            series, _ = self.check(spec, "x", power, grid)
+            # every k is even, so at the full revival each phase is exactly 1
+            assert series.values[-1] == series.values[0]
+
+    def test_offset_cat(self):
+        grid = TimeGrid(np.array(self.FRACTIONS))
+        for observable, power in (("x", 3), ("p", 6)):
+            self.check(SuperpositionSpec(3, 1, 20.0), observable, power, grid)
+
+    def test_explicit_n_max(self):
+        spec = SuperpositionSpec(2, 0, 25.0)
+        n_max = truncation_dim(25.0) + 30
+        series, _ = self.check(spec, "x", 4, TimeGrid.uniform(161), n_max)
+        assert series.meta["n_max"] == n_max
+
+    def test_odd_p_moment(self):
+        _, want = self.check(SuperpositionSpec(1, 0, 30.0), "p", 5, TimeGrid.uniform(161))
+        assert np.max(np.abs(want)) > 1.0  # nonzero at the t = 0 end and the bursts
+
+    def test_power_ten_on_five_cat(self):
+        grid = TimeGrid(np.unique(self.FRACTIONS + [1 / 50, 1 / 25, 2 / 25]))
+        self.check(SuperpositionSpec(5, 0, 20.0), "x", 10, grid)
+
+    def test_undersized_n_max_raises(self):
+        # the state builds on 70 + 1 levels, but x^8 would reach its top 18 slots
+        with pytest.raises(HeadroomError, match="increase n_max"):
+            moment_series(SuperpositionSpec(1, 0, 20.0), "x", 8, PARAMS, TimeGrid.uniform(11), 70)

@@ -16,8 +16,12 @@ from kerrcat import (
     match_report,
     moment_series,
     predicted_events,
+    superposed_state,
+    truncation_dim,
     visible_burst_times,
 )
+from kerrcat.evolution import evolve_amplitudes
+from kerrcat.moments import _quadrature_moment, apply_position
 from kerrcat.schedule import K_SUBPACKET, ROTATION
 
 PARAMS = KerrParams(1.0)
@@ -149,11 +153,18 @@ class TestDetectBursts:
             detect_bursts(series_from(np.ones(50)))
 
     def test_constant_moment_with_rounding_noise_empty(self):
-        # <x^2> of the 3-cat never bursts (no damping branch reaches it); its
-        # series varies only by rounding noise of ~1e-14 around 100.5
-        series = moment_series(SuperpositionSpec(3, 0, 100.0), "x", 2, PARAMS, TimeGrid.uniform(1441))
-        assert np.ptp(series.values) > 0
+        # <x^2> of the 3-cat never bursts (no damping branch reaches it).  The
+        # matrix route over a propagated batch varies only by rounding noise of
+        # ~1e-14 around 100.5; the band route keeps no band and is exactly flat
+        spec, grid = SuperpositionSpec(3, 0, 100.0), TimeGrid.uniform(1441)
+        state = superposed_state(spec, truncation_dim(spec.nu) + 2)
+        batch = evolve_amplitudes(state.amplitudes, PARAMS, grid.times(PARAMS))
+        noisy = TimeSeries(grid, _quadrature_moment(batch, 2, apply_position))
+        assert np.ptp(noisy.values) > 0
         assert visible_burst_times(3, 2) == []
+        assert detect_bursts(noisy) == []
+        series = moment_series(spec, "x", 2, PARAMS, grid)
+        assert np.ptp(series.values) == 0
         assert detect_bursts(series) == []
 
     def test_x4_coherent_schedule(self):
