@@ -20,8 +20,6 @@ from .states import (
     mean_photon_number,
     normalization_n2,
     rotate_state,
-    state_from_text,
-    state_to_text,
     superposed_state,
     superposed_state_from_components,
     superposition_norm,
@@ -33,16 +31,13 @@ from .evolution import (
     TimeGrid,
     TimeSeries,
     analytic_state_at,
-    autocorrelation,
     evolve,
     rotation_angle,
 )
 from .moments import (
     HeadroomError,
-    a_power_even_cat,
     a_power_oracle,
     a_power_superposition,
-    a_power_three_cat,
     ladder_expectation_coherent,
     ladder_moment_oracle,
     moment_series,
@@ -60,7 +55,6 @@ from .wigner import (
     rotation_symmetry_defect,
     wigner_field,
     wigner_marginals,
-    wigner_on_points,
 )
 from .entropy import (
     DensityProfile,
@@ -76,11 +70,9 @@ from .entropy import (
 )
 from .schedule import (
     MatchReport,
-    RevivalEvent,
     detect_bursts,
     detect_minima,
     match_report,
-    predicted_events,
     visible_burst_times,
 )
 

@@ -37,9 +37,8 @@ from .evolution import (
 )
 from .entropy import RenyiPair, entropy_series, renyi_bound, renyi_uncertainty_sum
 from .moments import (
-    a_power_even_cat,
     a_power_oracle,
-    a_power_three_cat,
+    a_power_superposition,
     ladder_expectation_coherent,
     ladder_moment_oracle,
     moment_scale,
@@ -324,12 +323,12 @@ def _validate_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
                                          moment_scale(nu, r, s)))
             k = int(rng.integers(1, 4))
             c2 = evolve(superposed_state(SuperpositionSpec(2, 0, nu), n_max), params, t)
-            err = abs(a_power_even_cat(nu, math.pi / 4, 1.0, t, k) - a_power_oracle(c2, 2 * k))
+            err = abs(a_power_superposition(2, nu, math.pi / 4, 1.0, t, k) - a_power_oracle(c2, 2 * k))
             worst = max(worst, err / max(abs(a_power_oracle(c2, 2 * k)), moment_scale(nu, 0, 2 * k)))
             worst = max(worst, abs(x2_even_cat(nu, 1.0, t) - x_moment_oracle(c2, 2))
                         / abs(x_moment_oracle(c2, 2)))
             c3 = evolve(superposed_state(SuperpositionSpec(3, 0, nu), n_max), params, t)
-            err = abs(a_power_three_cat(nu, math.pi / 4, 1.0, t, k) - a_power_oracle(c3, 3 * k))
+            err = abs(a_power_superposition(3, nu, math.pi / 4, 1.0, t, k) - a_power_oracle(c3, 3 * k))
             worst = max(worst, err / max(abs(a_power_oracle(c3, 3 * k)), moment_scale(nu, 0, 3 * k)))
             err = abs(x3_three_cat(nu, 1.0, t) - x_moment_oracle(c3, 3))
             worst = max(worst, err / max(abs(x_moment_oracle(c3, 3)), moment_scale(nu, 0, 3)))
@@ -392,13 +391,14 @@ def _validate_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     def wigner_quick():
         vac = FockState(np.eye(24, dtype=complex)[0])
         fld = wigner_field(vac, PhaseSpaceGrid.square(6.0, 201))
-        peak = fld.values.max()
-        assert abs(peak - 1 / math.pi) < 1e-10, f"vacuum peak {peak}"
+        x, p = np.meshgrid(fld.grid.xs(), fld.grid.ps(), indexing="ij")
+        err = np.max(np.abs(fld.values - np.exp(-x * x - p * p) / math.pi))
+        assert err < 1e-10, f"vacuum field off exp(-x^2-p^2)/pi by {err}"
         assert abs(fld.integral() - 1) < 1e-3, f"normalization {fld.integral()}"
         state = evolve(coherent_state(20.0), params, t_rev / 4)
         lobes = count_lobes(wigner_field(state, default_grid(state, 201)))
         assert lobes == 4, f"expected 4 lobes, found {lobes}"
-        return "vacuum peak 1/pi, 4-lobe portrait"
+        return f"vacuum field error {err:.1e}, 4-lobe portrait"
 
     checks.append(_check("Wigner field basics", wigner_quick))
 

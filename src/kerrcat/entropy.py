@@ -3,7 +3,8 @@
 Wavefunctions are assembled from the harmonic-oscillator eigenfunctions
 phi_n(x) consistent with x = (a + a^dag)/sqrt(2); the momentum wavefunction
 uses the exact identity phi(p) = sum_n c_n (-i)^n phi_n(p) instead of a
-numerical Fourier transform.  Entropies use composite Simpson quadrature on a
+numerical Fourier transform.  `position_wavefunction` is also the psi of
+`wigner.wigner_field`.  Entropies use composite Simpson quadrature on a
 uniform grid.
 
 The conjugate-pair entropy sum obeys

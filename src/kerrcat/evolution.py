@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from .states import (
-    DEFAULT_PHASE,
     FockState,
     SuperpositionSpec,
     coherent_amplitudes,
@@ -119,16 +118,6 @@ def evolve_amplitudes(amplitudes: np.ndarray, params: KerrParams, times: np.ndar
     for i, t in enumerate(times):
         out[i] = amplitudes * _phase_factors(dim, params.chi, float(t))
     return out
-
-
-def autocorrelation(s0: FockState, params: KerrParams, grid: TimeGrid) -> TimeSeries:
-    """A(t) = |<psi(0)|psi(t)>|^2; equals 1 at t = 0 and at every full revival."""
-    c0 = s0.amplitudes
-    weights = np.abs(c0) ** 2
-    vals = np.empty(grid.fractions.size)
-    for i, t in enumerate(grid.times(params)):
-        vals[i] = abs(np.sum(weights * _phase_factors(c0.size, params.chi, float(t)))) ** 2
-    return TimeSeries(grid, vals, observable="autocorrelation", meta={"chi": params.chi})
 
 
 def rotation_angle(l: int, j: int) -> float:

@@ -154,23 +154,13 @@ def a_power_superposition(l: int, nu: float, theta: float, chi: float, t: float,
     return l * nl2 * alpha**s * np.exp(-1j * chi * t * s * (s - 1)) * branches.sum()
 
 
-def a_power_even_cat(nu: float, theta: float, chi: float, t: float, k: int) -> complex:
-    """<a^(2k)>(t) for the two-component cat; two branches damped by exp(-nu(1 -+ cos 4k chi t))."""
-    return a_power_superposition(2, nu, theta, chi, t, k)
-
-
-def a_power_three_cat(nu: float, theta: float, chi: float, t: float, k: int) -> complex:
-    """<a^(3k)>(t) for the three-component cat; three damping branches."""
-    return a_power_superposition(3, nu, theta, chi, t, k)
-
-
 def x2_even_cat(nu: float, chi: float, t: float, theta: float = np.pi / 4) -> float:
     """Exact <x^2>(t) for the two-component cat.
 
     Re<a^2> + <N> + 1/2 with <a^2> from the two-branch result and the exact
     constant <N> = 2 N_2^2 nu (1 - exp(-2 nu)) = nu tanh(nu).
     """
-    n2sq2 = 2.0 * normalization_sq_terms(2, nu)
+    n2sq2 = 2.0 * superposition_norm(2, nu) ** 2
     dp = math.exp(-nu * (1.0 - math.cos(4.0 * chi * t)))
     dm = math.exp(-nu * (1.0 + math.cos(4.0 * chi * t)))
     osc = n2sq2 * nu * (
@@ -187,7 +177,7 @@ def x3_three_cat(nu: float, chi: float, t: float, theta: float = np.pi / 4) -> f
     Only the a^3 and a^dag^3 terms of (x)^3 survive the support-mod-3
     selection, so <x^3> = Re<a^3> / sqrt(2); the plateau value is exactly 0.
     """
-    n3sq3 = 3.0 * normalization_sq_terms(3, nu)
+    n3sq3 = 3.0 * superposition_norm(3, nu) ** 2
     u = 6.0 * chi * t
     d0 = math.exp(-nu * (1.0 - math.cos(u)))
     d1 = math.exp(-nu * (1.0 - math.sin(u - np.pi / 6)))
@@ -197,11 +187,6 @@ def x3_three_cat(nu: float, chi: float, t: float, theta: float = np.pi / 4) -> f
         + d1 * math.cos(u - nu * math.cos(u - np.pi / 6) - 3.0 * theta)
         + d2 * math.cos(u + nu * math.cos(u + np.pi / 6) - 3.0 * theta)
     )
-
-
-def normalization_sq_terms(l: int, nu: float) -> float:
-    """N_l^2, shared by the closed forms above."""
-    return superposition_norm(l, nu) ** 2
 
 
 def moment_scale(nu: float, r: int, s: int) -> float:

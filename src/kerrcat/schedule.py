@@ -17,9 +17,8 @@ exactly and is what burst detection should be matched against.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,64 +26,10 @@ from scipy.signal import find_peaks
 
 from .evolution import TimeSeries
 
-ROTATION = "rotation"
-K_SUBPACKET = "k_subpacket"
 # burst threshold floor relative to the series scale: rounding noise of a
 # constant moment sits near 1e-16 of its value, while the bursts of the
 # nu = 100 moment series up to x^9 reach at least 8% of theirs
 _SCALE_FLOOR = 1e-10
-
-
-@dataclass(frozen=True, order=True)
-class RevivalEvent:
-    fraction: Fraction
-    kind: str = field(compare=False)
-    k: int = field(compare=False)
-
-    def __post_init__(self):
-        if not 0 < self.fraction < 1:
-            raise ValueError("event time must lie strictly inside (0, 1)")
-        if math.gcd(self.fraction.numerator, self.fraction.denominator) != 1:
-            raise ValueError("fraction must be reduced")
-
-    @property
-    def j(self) -> int:
-        return self.fraction.numerator
-
-    @property
-    def d(self) -> int:
-        return self.fraction.denominator
-
-    @property
-    def time(self) -> float:
-        return float(self.fraction)
-
-
-def predicted_events(l: int, k_max: int, window: tuple[float, float] = (0.0, 1.0)) -> list[RevivalEvent]:
-    """Rotation and k-sub-packet events for the order-l cat, sorted by time.
-
-    Duplicated time fractions keep the smallest k (rotations win ties).
-    Rotations carry no coprimality condition; a rotation time written with a
-    non-reduced j/l^2 is stored in reduced form.
-    """
-    if l < 1 or k_max < 2:
-        raise ValueError("need l >= 1 and k_max >= 2")
-    lo, hi = window
-    best: dict[Fraction, RevivalEvent] = {}
-    if l > 1:
-        for j in range(1, l * l):
-            fr = Fraction(j, l * l)
-            best[fr] = RevivalEvent(fr, ROTATION, 1)
-    for k in range(2, k_max + 1):
-        den = l * l * k
-        for j in range(1, den):
-            if math.gcd(j, den) != 1:
-                continue
-            fr = Fraction(j, den)
-            if fr not in best or k < best[fr].k:
-                best[fr] = RevivalEvent(fr, K_SUBPACKET, k)
-    events = [e for e in best.values() if lo < e.time <= hi or math.isclose(e.time, hi)]
-    return sorted(events)
 
 
 def visible_burst_times(l: int, power: int, window: tuple[float, float] = (0.0, 1.0)) -> list[Fraction]:
@@ -238,15 +183,6 @@ class MatchReport:
     @property
     def complete(self) -> bool:
         return not self.misses and not self.spurious
-
-    def to_json(self) -> str:
-        payload = {
-            "tol": self.tol,
-            "matched": [{"detected": d, "predicted": p} for d, p in self.matched],
-            "misses": self.misses,
-            "spurious": self.spurious,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def match_report(detected: list[float], predicted: list[float] | list[Fraction],

@@ -238,20 +238,3 @@ def mean_photon_number(state: FockState) -> float:
     n = np.arange(state.amplitudes.size)
     return float(np.sum(n * np.abs(state.amplitudes) ** 2))
 
-
-def state_to_text(state: FockState) -> str:
-    """Serialize to the text record format: n_max line, then "n re im" rows."""
-    lines = [str(state.n_max)]
-    for n, c in enumerate(state.amplitudes):
-        lines.append(f"{n} {c.real:.17g} {c.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def state_from_text(text: str) -> FockState:
-    rows = text.strip().splitlines()
-    n_max = int(rows[0])
-    amp = np.zeros(n_max + 1, dtype=np.complex128)
-    for row in rows[1:]:
-        n_s, re_s, im_s = row.split()
-        amp[int(n_s)] = float(re_s) + 1j * float(im_s)
-    return FockState(amp)

@@ -17,9 +17,8 @@ from kerrcat import (
     RenyiPair,
     SuperpositionSpec,
     TimeGrid,
-    a_power_even_cat,
     a_power_oracle,
-    a_power_three_cat,
+    a_power_superposition,
     analytic_state_at,
     coherent_state,
     count_lobes,
@@ -145,7 +144,7 @@ def test_criterion_3_closed_form_oracle_agreement():
         worst["x2_2cat"] = max(worst["x2_2cat"],
                                abs(x2_even_cat(nu, 1.0, t) - want) / max(abs(want), nu + 0.5))
         want = a_power_oracle(c2, 2 * k)
-        got = a_power_even_cat(nu, THETA, 1.0, t, k)
+        got = a_power_superposition(2, nu, THETA, 1.0, t, k)
         worst["a2k_2cat"] = max(worst["a2k_2cat"],
                                 abs(got - want) / max(abs(want), moment_scale(nu, 0, 2 * k)))
 
@@ -155,7 +154,7 @@ def test_criterion_3_closed_form_oracle_agreement():
                                abs(x3_three_cat(nu, 1.0, t) - want)
                                / max(abs(want), moment_scale(nu, 0, 3)))
         want = a_power_oracle(c3, 3 * k)
-        got = a_power_three_cat(nu, THETA, 1.0, t, k)
+        got = a_power_superposition(3, nu, THETA, 1.0, t, k)
         worst["a3k_3cat"] = max(worst["a3k_3cat"],
                                 abs(got - want) / max(abs(want), moment_scale(nu, 0, 3 * k)))
     elapsed = time.perf_counter() - start

@@ -11,7 +11,6 @@ from kerrcat import (
     TimeGrid,
     TimeSeries,
     analytic_state_at,
-    autocorrelation,
     coherent_state,
     evolve,
     fidelity,
@@ -66,26 +65,6 @@ class TestEvolve:
         s = superposed_state(SuperpositionSpec(2, 0, 25.0))
         back = evolve(evolve(s, PARAMS, 0.7), PARAMS, -0.7)
         assert fidelity(s, back) >= 1 - 1e-13
-
-
-class TestAutocorrelation:
-    def test_endpoints(self):
-        s = coherent_state(30.0)
-        grid = TimeGrid(np.array([0.0, 0.37, 1.0]))
-        series = autocorrelation(s, PARAMS, grid)
-        assert series.values[0] == pytest.approx(1.0, abs=1e-13)
-        assert series.values[-1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_collapse_plateau(self):
-        s = coherent_state(100.0)
-        grid = TimeGrid(np.array([0.0, 0.37, 1.0]))
-        series = autocorrelation(s, PARAMS, grid)
-        assert series.values[1] < 0.05
-
-    def test_values_in_unit_interval(self):
-        s = superposed_state(SuperpositionSpec(2, 0, 20.0))
-        series = autocorrelation(s, PARAMS, TimeGrid.uniform(201))
-        assert np.all(series.values >= 0) and np.all(series.values <= 1 + 1e-12)
 
 
 class TestAnalyticStates:
@@ -154,10 +133,10 @@ class TestRotationSchedule:
 
 def test_time_series_csv_format():
     grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
-    series = autocorrelation(coherent_state(5.0), PARAMS, grid)
+    series = TimeSeries(grid, np.array([20.5, 0.5, 20.5]), "x^2", {"chi": 1.0})
     text = series.to_csv()
     lines = text.splitlines()
-    assert lines[0].startswith("# observable=autocorrelation")
+    assert lines[0].startswith("# observable=x^2")
     assert "t_over_Trev,value" in lines
     assert len([ln for ln in lines if "," in ln and not ln.startswith("#")]) == 4
 

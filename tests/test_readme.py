@@ -1,0 +1,19 @@
+"""The README's library sketch runs as printed and shows what its comments say."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_sketch_runs():
+    section = README.read_text().split("## Library sketch", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {}
+    exec(compile(code, str(README), "exec"), scope)
+    detected = scope["detect_bursts"](scope["series"])
+    predicted = [float(f) for f in scope["visible_burst_times"](2, 4)]
+    assert len(detected) == len(predicted)
+    np.testing.assert_allclose(detected, predicted, rtol=0, atol=1e-4)

@@ -15,8 +15,6 @@ from kerrcat import (
     mean_photon_number,
     normalization_n2,
     rotate_state,
-    state_from_text,
-    state_to_text,
     superposed_state,
     superposed_state_from_components,
     superposition_norm,
@@ -224,18 +222,6 @@ class TestTruncationDim:
             truncation_dim(-1.0)
         with pytest.raises(ValueError):
             truncation_dim(1.0, eps=2.0)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        s = superposed_state(SuperpositionSpec(3, 0, 15.0))
-        t = state_from_text(state_to_text(s))
-        assert t.n_max == s.n_max
-        assert np.array_equal(t.amplitudes, s.amplitudes)
-
-    def test_header_is_n_max(self):
-        s = coherent_state(1.0, n_max=30)
-        assert state_to_text(s).splitlines()[0] == "30"
 
 
 def test_mean_photon_number():

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from kerrcat import (
+    ANALYTIC_CASES,
     FockState,
     GridCoverageWarning,
     KerrParams,
@@ -22,7 +23,6 @@ from kerrcat import (
     superposed_state,
     wigner_field,
     wigner_marginals,
-    wigner_on_points,
 )
 from kerrcat.wigner import default_grid
 
@@ -46,47 +46,74 @@ def fock_state(n, dim):
     return FockState(amp)
 
 
+def closed_form_check(field, want, atol):
+    X, P = np.meshgrid(field.grid.xs(), field.grid.ps(), indexing="ij")
+    np.testing.assert_allclose(field.values, want(X, P), rtol=0, atol=atol)
+
+
+def coherent_sum_wigner(weights, labels, x, p):
+    """W of sum_a w_a |beta_a>, beta_a = labels[a], from the pairwise cross terms.
+
+    |beta_a><beta_b| contributes <beta_b|beta_a> exp(-2 (z - beta_a)(z^* - beta_b^*)) / pi
+    at z = (x + ip)/sqrt(2), times w_a w_b^*; the squared norm sums the same
+    weighted overlaps.
+    """
+    z = (x + 1j * p) / math.sqrt(2.0)
+    w, b = np.asarray(weights, dtype=complex), np.asarray(labels, dtype=complex)
+    overlap = np.exp(-0.5 * np.abs(b[:, None]) ** 2 - 0.5 * np.abs(b[None, :]) ** 2
+                     + b[:, None] * b[None, :].conj())  # [a, b] = <beta_b|beta_a>
+    pair = w[:, None] * w[None, :].conj() * overlap
+    total = np.zeros(z.shape, dtype=complex)
+    for a in range(b.size):
+        for c in range(b.size):
+            total += pair[a, c] * np.exp(-2.0 * (z - b[a]) * (z.conj() - b[c].conj()))
+    return (total / pair.sum()).real / np.pi
+
+
 class TestPointwiseOracles:
+    """Whole fields, compared at every grid point with closed forms and with an
+    independent quadrature of the defining integral."""
+
     def test_vacuum_gaussian(self):
-        vac = fock_state(0, 16)
-        xs = np.array([0.0, 0.5, -1.2, 2.0])
-        ps = np.array([0.0, -0.4, 0.9, 1.5])
-        got = wigner_on_points(vac, xs, ps)
-        want = np.exp(-xs**2 - ps**2) / np.pi
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        field = wigner_field(fock_state(0, 16), PhaseSpaceGrid(-6.0, 6.0, -5.5, 6.5, 121, 97))
+        closed_form_check(field, lambda x, p: np.exp(-x**2 - p**2) / np.pi, 1e-13)
 
     def test_vacuum_peak_value(self):
-        vac = fock_state(0, 16)
-        assert wigner_on_points(vac, 0.0, 0.0) == pytest.approx(1 / np.pi, abs=1e-10)
+        field = wigner_field(fock_state(0, 16), PhaseSpaceGrid.square(6.0, 101))
+        assert field.values[50, 50] == pytest.approx(1 / np.pi, abs=1e-13)
+        assert field.values.max() == field.values[50, 50]
 
     def test_single_photon_kernel(self):
-        one = fock_state(1, 16)
-        r2 = np.array([0.0, 0.3, 1.0, 2.7])
-        got = wigner_on_points(one, np.sqrt(r2), np.zeros_like(r2))
-        want = (2 * r2 - 1) * np.exp(-r2) / np.pi
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        field = wigner_field(fock_state(1, 16), PhaseSpaceGrid.square(7.0, 141))
+        closed_form_check(field, lambda x, p: (2 * (x**2 + p**2) - 1)
+                          * np.exp(-x**2 - p**2) / np.pi, 1e-13)
 
     def test_coherent_displaced_gaussian(self):
         # theta away from the diagonal pins the sign convention of p
         nu, theta = 6.0, np.pi / 6
-        s = coherent_state(nu, theta)
         x0 = math.sqrt(2 * nu) * math.cos(theta)
         p0 = math.sqrt(2 * nu) * math.sin(theta)
-        xs = x0 + np.array([0.0, 0.7, -0.3])
-        ps = p0 + np.array([0.0, -0.5, 0.4])
-        got = wigner_on_points(s, xs, ps)
-        want = np.exp(-((xs - x0) ** 2) - (ps - p0) ** 2) / np.pi
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        field = wigner_field(coherent_state(nu, theta), PhaseSpaceGrid(-4.0, 8.0, -5.0, 7.0, 61, 49))
+        closed_form_check(field, lambda x, p: np.exp(-((x - x0) ** 2) - (p - p0) ** 2) / np.pi, 1e-13)
 
     def test_against_transform_quadrature(self):
         # fully independent oracle built on the position wavefunction
         state = evolve(superposed_state(SuperpositionSpec(2, 0, 5.0), 60), PARAMS, T_REV / 8)
-        rng = np.random.default_rng(3)
-        pts_x = rng.uniform(-4, 4, 12)
-        pts_p = rng.uniform(-4, 4, 12)
-        got = wigner_on_points(state, pts_x, pts_p)
-        want = np.array([wigner_transform_oracle(state, x, p) for x, p in zip(pts_x, pts_p)])
-        np.testing.assert_allclose(got, want, atol=1e-8)
+        grid = PhaseSpaceGrid(-7.6, 8.3, -7.9, 8.1, 13, 9)
+        field = wigner_field(state, grid)
+        want = np.array([[wigner_transform_oracle(state, x, p) for p in grid.ps()]
+                         for x in grid.xs()])
+        np.testing.assert_allclose(field.values, want, rtol=0, atol=1e-8)
+
+    def test_four_cat_sub_revival_default_grid(self):
+        # the default 201^2 grid of this state needs the sub-stepped psi grid:
+        # at the x step itself the momentum images alias W by 9.2e-10
+        spec = SuperpositionSpec(4, 0, 30.0)
+        state = evolve(superposed_state(spec), PARAMS, T_REV / 32)
+        field = wigner_field(state, default_grid(state, 201))
+        case = ANALYTIC_CASES["even4@T/32"]
+        labels = [spec.alpha * np.exp(1j * phi) for phi in case.phases]
+        closed_form_check(field, lambda x, p: coherent_sum_wigner(case.weights, labels, x, p), 1e-12)
 
 
 class TestField:
@@ -126,42 +153,6 @@ class TestField:
         assert len(mat) == 1 + 21
 
 
-class TestRadiusGroupedKernel:
-    """The grid path reuses one radial recurrence per distinct radius; single
-    points share nothing, so a per-point loop is an independent route."""
-
-    @staticmethod
-    def _state():
-        # complex rho_{n+k,n} on every diagonal, small basis for the point loop
-        return evolve(superposed_state(SuperpositionSpec(2, 0, 5.0), 40), PARAMS, T_REV / 8)
-
-    def test_asymmetric_grid_matches_point_loop(self):
-        state = self._state()
-        grid = PhaseSpaceGrid(-7.6, 8.3, -7.9, 8.1, 13, 9)
-        field = wigner_field(state, grid)
-        xs, ps = grid.xs(), grid.ps()
-        loop = np.array([[wigner_on_points(state, x, p) for p in ps] for x in xs])
-        np.testing.assert_allclose(field.values, loop, rtol=0, atol=1e-13)
-
-    def test_scattered_points_match_point_loop(self):
-        state = self._state()
-        rng = np.random.default_rng(11)
-        x, p = rng.uniform(-5, 5, 200), rng.uniform(-5, 5, 200)
-        assert np.unique(x * x + p * p).size == 200  # no radius repeats
-        batch = wigner_on_points(state, x, p)
-        loop = np.array([wigner_on_points(state, xi, pi) for xi, pi in zip(x, p)])
-        np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-13)
-
-    def test_coherent_field_is_displaced_gaussian(self):
-        nu, theta = 6.0, np.pi / 6
-        x0 = math.sqrt(2 * nu) * math.cos(theta)
-        p0 = math.sqrt(2 * nu) * math.sin(theta)
-        field = wigner_field(coherent_state(nu, theta), PhaseSpaceGrid(-4.0, 8.0, -5.0, 7.0, 61, 49))
-        X, P = np.meshgrid(field.grid.xs(), field.grid.ps(), indexing="ij")
-        want = np.exp(-((X - x0) ** 2) - (P - p0) ** 2) / np.pi
-        np.testing.assert_allclose(field.values, want, rtol=0, atol=1e-10)
-
-
 class TestWriterGolden:
     """Both writers against the per-value f-string layout they were specified with."""
 
@@ -199,6 +190,12 @@ class TestSymmetryAndLobes:
     def test_symmetry_survives_evolution(self):
         state = evolve(superposed_state(SuperpositionSpec(3, 0, 20.0)), PARAMS, T_REV / 18)
         assert rotation_symmetry_defect(state, 3) < 1e-6
+
+    def test_wrong_fold_detected(self):
+        # the six lobes at T/18 are pi/3 apart, but their weights alternate, so
+        # a half turn maps the lobes onto lobes and only the fringes differ
+        state = evolve(superposed_state(SuperpositionSpec(3, 0, 20.0)), PARAMS, T_REV / 18)
+        assert rotation_symmetry_defect(state, 2) > 1e-2
 
     @pytest.mark.parametrize(
         "l,fraction,expected",
