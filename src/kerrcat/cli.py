@@ -356,6 +356,23 @@ def _validate_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
 
     checks.append(_check("moment series against matrix oracle", band_series))
 
+    def entropy_sums():
+        worst = 0.0
+        for (l, h), pair in zip([(1, 0), (2, 0), (3, 0), (3, 1)],
+                                [RenyiPair(2 / 3, 2.0), RenyiPair(1.0, 1.0),
+                                 RenyiPair(0.6, 3.0), RenyiPair(0.75, 1.5)]):
+            spec = SuperpositionSpec(l, h, 40.0)
+            fracs = np.unique(np.concatenate([rng.uniform(0.0, 1.0, 4),
+                                              [1 / (2 * l * l), 1 / (l * l), 1.0]]))
+            series = entropy_series(spec, params, TimeGrid(fracs), pair)
+            state = superposed_state(spec, series.meta["n_max"])
+            want = [renyi_uncertainty_sum(evolve(state, params, f * t_rev), pair) for f in fracs]
+            worst = max(worst, float(np.max(np.abs(series.values - want))))
+        assert worst < 1e-10, f"entropy series vs per-state sums error {worst}"
+        return f"worst error {worst:.3e}"
+
+    checks.append(_check("entropy series against per-state sums", entropy_sums))
+
     def parity():
         spec = SuperpositionSpec(2, 0, 100.0)
         grid = TimeGrid.uniform(201)

@@ -180,6 +180,43 @@ class TestEntropySeries:
         assert series.meta["zeta"] == pytest.approx(2 / 3)
         assert series.values.size == 21
 
+    # a non-uniform grid through f = 0 and f = 1; 2 samples make one short
+    # block, 33 and 37 a full block of 32 and then a last block of 1 and of 5
+    CROSS_GRIDS = [
+        TimeGrid(np.array([0.0, 0.013, 1 / 18, 1 / 9, 0.125, 0.31, 0.5, 0.77, 1.0])),
+        TimeGrid.uniform(2, 0.0, 0.25),
+        TimeGrid.uniform(33, 0.0, 0.5),
+        TimeGrid.uniform(37, 0.2, 1.0),
+    ]
+
+    @pytest.mark.parametrize("pair", [RenyiPair(2 / 3, 2.0), RenyiPair(0.6, 3.0), RenyiPair(1.0, 1.0)],
+                             ids=["2/3-2", "0.6-3", "shannon"])
+    @pytest.mark.parametrize("l, h", [(1, 0), (2, 0), (3, 0), (3, 1)])
+    def test_matches_per_state_sums(self, l, h, pair):
+        # independent route: one evolved state at a time, complex projection, scipy's simpson
+        spec = SuperpositionSpec(l, h, 12.0)
+        for grid in self.CROSS_GRIDS:
+            series = entropy_series(spec, PARAMS, grid, pair)
+            state = superposed_state(spec, series.meta["n_max"])
+            want = [renyi_uncertainty_sum(evolve(state, PARAMS, f * T_REV), pair)
+                    for f in grid.fractions]
+            np.testing.assert_allclose(series.values, want, rtol=0, atol=1e-11)
+
+    def test_wrong_propagator_reaches_the_series(self, monkeypatch):
+        def conjugated(dim, chi, t):
+            n = np.arange(dim, dtype=np.float64)
+            return np.exp(+1j * chi * t * n * (n - 1))
+
+        # the conjugated propagator evolves the cat turned by -pi/2, which swaps
+        # rho and gamma: only a pair with zeta != eta can tell
+        spec = SuperpositionSpec(2, 0, 20.0)
+        grid = TimeGrid(np.array([0.05, 0.125, 0.2, 0.3]))
+        pair = RenyiPair(2 / 3, 2.0)
+        right = entropy_series(spec, PARAMS, grid, pair).values
+        monkeypatch.setattr("kerrcat.evolution._phase_factors", conjugated)
+        wrong = entropy_series(spec, PARAMS, grid, pair).values
+        assert np.max(np.abs(wrong - right)) > 1e-2
+
 
 def test_density_profile_validation():
     grid = np.linspace(0, 1, 11)
