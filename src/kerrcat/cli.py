@@ -246,7 +246,7 @@ def run_figure(name: str, out_dir: str | Path = "out", n_max: int | None = None,
     description, outputs = FIGURES[name]
     print(f"{name}: {description}")
     for stem, l, nu, kind, time in outputs:
-        points = grid_points or _DEFAULT_POINTS.get(kind, 2001)
+        points = grid_points if grid_points is not None else _DEFAULT_POINTS.get(kind, 2001)
         _write_output(Path(out_dir), stem, SuperpositionSpec(l, 0, nu), kind, time, 1.0,
                       points, n_max)
 
@@ -482,6 +482,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "figure":
+            if args.grid_points is not None and args.grid_points < 2:
+                raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
             names = sorted(FIGURES) if args.name == "all" else [args.name]
             for name in names:
                 run_figure(name, args.out_dir, args.n_max, args.grid_points)

@@ -5,6 +5,10 @@ Every state revives exactly at multiples of the revival time T_rev = pi / chi
 because n(n-1) is always even.  At rational fractions of T_rev the evolved
 state is a discrete superposition of rotated copies of the initial one; the
 explicitly known cases are tabulated in ANALYTIC_CASES.
+
+Every Kerr phase is exp(-i pi f k), f = t / T_rev and k an integer difference
+of n(n-1) values; `_half_turns` reduces f k mod 2 exactly from the integer k,
+and `evolve`, `evolve_amplitudes` and `moments.moment_series` share it.
 """
 
 from __future__ import annotations
@@ -21,9 +25,6 @@ from .states import (
     truncation_dim,
 )
 from .textfmt import fill, float_strings, labelled_lines
-
-# 2 pi to extended precision, parsed as longdouble for phase reduction
-_TWO_PI_LD = np.longdouble("6.283185307179586476925286766559")
 
 
 @dataclass(frozen=True)
@@ -95,15 +96,29 @@ class TimeSeries:
         return "\n".join(lines)
 
 
-def _phase_factors(dim: int, chi: float, t: float) -> np.ndarray:
-    """exp(-i chi n(n-1) t) with the angle reduced mod 2 pi in extended precision.
+def _half_turns(fractions, lower, upper) -> np.ndarray:
+    """Kerr phase between levels lower and upper in units of pi: (f k) mod 2.
 
-    Keeps the phase error below ~1e-14 rad even at n ~ 300, t ~ T_rev, where a
-    naive double-precision product reaches 2e5 rad.
+    k = upper(upper-1) - lower(lower-1) is an integer.  Each f splits into a
+    head on a 2^-20 lattice, whose products with k are exact and reduce mod 2
+    exactly, and a tail below 2^-21, so the result is exact up to the final
+    rounding.  The arguments broadcast against each other.
     """
-    n = np.arange(dim, dtype=np.longdouble)
-    ang = np.mod(np.longdouble(chi) * np.longdouble(t) * (n * (n - 1)), _TWO_PI_LD)
-    return np.exp(-1j * ang.astype(np.float64))
+    k = upper * (upper - 1) - lower * (lower - 1)
+    head = np.round(fractions * 2.0**20) / 2.0**20
+    turns = np.mod(head * k, 2.0)
+    turns += (fractions - head) * k
+    return turns
+
+
+def _phase_factors(dim: int, chi: float, t) -> np.ndarray:
+    """exp(-i chi n(n-1) t) for n < dim; t is a scalar or a column of times.
+
+    n(n-1) is even, so only f = (t / T_rev) mod 1 matters.  At f = j / 2^m
+    (m <= 20) the reduced angles are exact: every phase is 1 at t = T_rev.
+    """
+    fractions = np.mod(t / (np.pi / chi), 1.0)
+    return np.exp(-1j * np.pi * _half_turns(fractions, 0, np.arange(dim)))
 
 
 def evolve(state: FockState, params: KerrParams, t: float) -> FockState:
@@ -113,11 +128,7 @@ def evolve(state: FockState, params: KerrParams, t: float) -> FockState:
 
 def evolve_amplitudes(amplitudes: np.ndarray, params: KerrParams, times: np.ndarray) -> np.ndarray:
     """Batch propagation: row i holds the amplitudes at times[i]."""
-    dim = amplitudes.size
-    out = np.empty((len(times), dim), dtype=np.complex128)
-    for i, t in enumerate(times):
-        out[i] = amplitudes * _phase_factors(dim, params.chi, float(t))
-    return out
+    return amplitudes * _phase_factors(amplitudes.size, params.chi, np.asarray(times)[:, None])
 
 
 def rotation_angle(l: int, j: int) -> float:

@@ -8,11 +8,11 @@ f = t / T_rev
 
 and likewise for p.  X^m is built once on the truncated basis, g_0 is
 constant, and each band d is one phase table times a weight vector; the
-phase is reduced mod 2 from the integer k, so the large products
-chi t n(n-1) never form.  The matrix oracles (apply the tridiagonal x or p
-matrix repeatedly to an `evolve`d state and take the inner product) share
-only the ladder functions with it, neither the band weights nor the phases,
-and cross-check it in the tests and in `kerrcat validate`.
+phase is `evolution._half_turns`, exact mod 2 from the integer k.  The matrix
+oracles (apply the tridiagonal x or p matrix repeatedly to an `evolve`d state
+and take the inner product) share the ladder functions and that phase with
+it, not the band weights or sum, and cross-check it in the tests and in
+`kerrcat validate`; the closed forms share neither.
 The closed forms below exist only for specific initial states and powers and
 serve as further cross-checks; each one was rederived from the exact
 propagator and is validated against the oracle to 1e-9 relative accuracy at
@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .evolution import KerrParams, TimeGrid, TimeSeries
+from .evolution import KerrParams, TimeGrid, TimeSeries, _half_turns
 from .states import FockState, SuperpositionSpec, superposed_state, superposition_norm, truncation_dim
 
 DEFAULT_SERIES_POINTS = 2001
@@ -215,20 +215,6 @@ def _band_weights(amplitudes: np.ndarray, power: int, apply) -> list[np.ndarray]
             * amplitudes[d:] for d in range(power + 1)]
 
 
-def _half_turns(fractions: np.ndarray, d: int, a: np.ndarray) -> np.ndarray:
-    """Kerr phase of band d at entries a, in units of pi: (f k) mod 2, k = d(2a + d - 1).
-
-    k = (a+d)(a+d-1) - a(a-1) is an integer.  Each f splits into a head on a
-    2^-20 lattice, whose products with k are exact and reduce mod 2 exactly,
-    and a tail below 2^-21, so the result is exact up to the final rounding.
-    """
-    k = d * (2 * a + d - 1)
-    head = np.round(fractions * 2.0**20) / 2.0**20
-    turns = np.mod(np.multiply.outer(head, k), 2.0)
-    turns += np.multiply.outer(fractions - head, k)
-    return turns
-
-
 def moment_series(
     spec: SuperpositionSpec,
     observable: str,
@@ -240,13 +226,13 @@ def moment_series(
     """<x^power> or <p^power> over a time grid, summed band by band.
 
     Band d > 0 of the (2 power + 1)-banded x^power or p^power contributes
-    2 Re sum_a w_a exp(-i pi f k_a) with k_a = d(2a + d - 1) an integer, so the
-    phase is reduced mod 2 exactly at any f, including f = 1 where every k is
-    even.  Weights that are exactly zero (parity and the l-fold photon
-    support) or below 1e-18 of their band's largest are dropped.  The basis is
-    enlarged by the moment power, and the headroom check refuses a state with
-    weight in its top power + 10 levels, where the truncated x^power departs
-    from the full one.
+    2 Re sum_a w_a exp(-i pi f k_a) with k_a = d(2a + d - 1) an integer, and
+    `_half_turns` reduces f k_a mod 2 exactly at any f, including f = 1 where
+    every k is even.  Weights that are exactly zero (parity and the l-fold
+    photon support) or below 1e-18 of their band's largest are dropped.  The
+    basis is enlarged by the moment power, and the headroom check refuses a
+    state with weight in its top power + 10 levels, where the truncated
+    x^power departs from the full one.
     """
     if observable not in ("x", "p"):
         raise ValueError("observable must be 'x' or 'p'")
@@ -264,7 +250,7 @@ def moment_series(
     for d, w in enumerate(weights[1:], start=1):
         mag = np.abs(w)
         a = np.flatnonzero(mag > 1e-18 * mag.max())
-        angle = np.pi * _half_turns(grid.fractions, d, a)
+        angle = np.pi * _half_turns(grid.fractions[:, None], a, a + d)
         values += np.cos(angle) @ (2.0 * w[a].real) + np.sin(angle) @ (2.0 * w[a].imag)
     meta = {
         "l": spec.l, "h": spec.h, "nu": spec.nu, "theta": spec.theta,

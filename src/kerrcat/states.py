@@ -61,10 +61,6 @@ class FockState:
     def norm_error(self) -> float:
         return abs(np.linalg.norm(self.amplitudes) - 1.0)
 
-    def tail_mass(self, slots: int = 10) -> float:
-        """Probability weight in the top `slots` basis states."""
-        return float(np.sum(np.abs(self.amplitudes[-slots:]) ** 2))
-
 
 @dataclass(frozen=True)
 class SuperpositionSpec:

@@ -157,6 +157,16 @@ class TestMain:
         assert cli.main(["figure", "fig2", "--out-dir", str(tmp_path), "--grid-points", "301"]) == 0
         assert cli.main(["figure", "fig99", "--out-dir", str(tmp_path)]) == 2
 
+    def test_zero_grid_points_is_not_the_default(self, tmp_path, capsys):
+        assert cli.main(["figure", "fig2", "--out-dir", str(tmp_path), "--grid-points", "0"]) == 2
+        assert "error: --grid-points" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("points", ["1", "-5"])
+    def test_too_few_grid_points_names_the_flag(self, tmp_path, capsys, points):
+        assert cli.main(["figure", "fig2", "--out-dir", str(tmp_path), "--grid-points", points]) == 2
+        assert "error: --grid-points" in capsys.readouterr().err
+
     def test_custom_config_error_reported(self, tmp_path, capsys):
         path = write_config(tmp_path / "bad.json", moment_powers=[])
         assert cli.main(["custom", str(path)]) == 2

@@ -6,6 +6,7 @@ from scipy.integrate import simpson
 
 from kerrcat import (
     DensityProfile,
+    FockState,
     KerrParams,
     RenyiPair,
     SuperpositionSpec,
@@ -22,7 +23,7 @@ from kerrcat import (
     renyi_uncertainty_sum,
     superposed_state,
 )
-from kerrcat.entropy import default_grid_for, uniform_grid
+from kerrcat.entropy import default_grid_for, oscillator_basis, uniform_grid
 
 PARAMS = KerrParams(1.0)
 T_REV = PARAMS.t_rev
@@ -73,6 +74,14 @@ class TestWavefunctions:
         )
         got = momentum_wavefunction(s, ps)
         np.testing.assert_allclose(got, direct, atol=1e-6)
+
+    @pytest.mark.parametrize("n", [100, 101, 150, 299])
+    def test_momentum_phase_of_high_number_state_is_exact(self, n):
+        # (-i)^n from the exact table, not through exp/log, for every n
+        p = np.linspace(-5.0, 5.0, 41)
+        fock = FockState(np.eye(300, dtype=complex)[n])
+        want = np.array([1, -1j, -1, 1j])[n % 4] * oscillator_basis(299, p)[n]
+        assert np.array_equal(momentum_wavefunction(fock, p), want)
 
 
 class TestRenyiEntropy:

@@ -19,6 +19,7 @@ from kerrcat import (
     superposed_state,
     truncation_dim,
 )
+from kerrcat.evolution import _phase_factors, evolve_amplitudes
 
 PARAMS = KerrParams(1.0)
 T_REV = PARAMS.t_rev
@@ -65,6 +66,29 @@ class TestEvolve:
         s = superposed_state(SuperpositionSpec(2, 0, 25.0))
         back = evolve(evolve(s, PARAMS, 0.7), PARAMS, -0.7)
         assert fidelity(s, back) >= 1 - 1e-13
+
+
+class TestExactPhase:
+    @pytest.mark.parametrize("l,nu,chi", [(1, 100.0, 1.0), (3, 100.0, 1.0), (1, 100.0, 0.7)])
+    def test_revival_returns_the_amplitudes_bitwise(self, l, nu, chi):
+        s = superposed_state(SuperpositionSpec(l, 0, nu))
+        params = KerrParams(chi)
+        assert np.array_equal(evolve(s, params, params.t_rev).amplitudes, s.amplitudes)
+
+    def test_quarter_revival_phases_match_exact_integers(self):
+        # exp(-i pi n(n-1)/4) = (-i)^m with m = n(n-1)/2 mod 4, from integers
+        dim = truncation_dim(100.0) + 1
+        n = np.arange(dim)
+        want = np.array([1, -1j, -1, 1j])[(n * (n - 1) // 2) % 4]
+        got = _phase_factors(dim, PARAMS.chi, T_REV / 4)
+        assert np.max(np.abs(got - want)) < 4e-16
+
+    def test_batch_rows_equal_single_evolutions(self):
+        s = superposed_state(SuperpositionSpec(2, 0, 30.0))
+        times = TimeGrid(np.array([0.0, 0.1, 0.25, 1 / 3, 0.8, 1.0])).times(PARAMS)
+        batch = evolve_amplitudes(s.amplitudes, PARAMS, times)
+        for row, t in zip(batch, times):
+            assert np.array_equal(row, evolve(s, PARAMS, t).amplitudes)
 
 
 class TestAnalyticStates:
