@@ -72,11 +72,16 @@ _FIELD_TYPES = {
 
 
 def _has_type(value, kind) -> bool:
+    """Real numbers must be finite as floats: JSON reads 1e400 as inf and accepts NaN."""
     if kind is list:
         return isinstance(value, list) and all(_has_type(v, float) for v in value)
-    if kind is float:
-        kind = numbers.Real
+    if kind is float:  # the bound also fails NaN and integers too large for a float
+        return _has_type(value, numbers.Real) and abs(value) <= sys.float_info.max
     return isinstance(value, kind) and not isinstance(value, bool)  # true is not a number
+
+
+def _kind_name(kind) -> str:
+    return {float: "a finite number", list: "a list of finite numbers"}.get(kind, kind.__name__)
 
 
 def _time_label(frac: float) -> str:
@@ -134,11 +139,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         for f in fields(self):
             kind, value = _FIELD_TYPES[f.name], getattr(self, f.name)
-            if kind is int and _has_type(value, float) and float(value).is_integer():
+            if kind is int and isinstance(value, float) and value.is_integer():
                 value = int(value)  # JSON 2.0 names the integer 2
                 setattr(self, f.name, value)
             if not (_has_type(value, kind) or value is None and f.default is None):
-                raise ValueError(f"field {f.name!r}: expected {kind.__name__}, got {value!r}")
+                raise ValueError(f"field {f.name!r}: expected {_kind_name(kind)}, got {value!r}")
         self.spec()  # raises on bad fields
         if self.chi <= 0:
             raise ValueError("field 'chi': must be positive")
@@ -146,6 +151,10 @@ class ExperimentConfig:
             raise ValueError("fields 't_start'/'t_stop': need 0 <= start < stop <= 1")
         if self.t_points < 2:
             raise ValueError("field 't_points': need at least 2")
+        if self.wigner_points < 2:
+            raise ValueError("field 'wigner_points': need at least 2")
+        if self.n_max is not None and self.n_max < 0:
+            raise ValueError(f"field 'n_max': must be nonnegative, got {self.n_max}")
         if self.moment_observable not in ("x", "p"):
             raise ValueError("field 'moment_observable': must be 'x' or 'p'")
         for k in self.moment_powers:
@@ -484,6 +493,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figure":
             if args.grid_points is not None and args.grid_points < 2:
                 raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
+            if args.n_max is not None and args.n_max < 0:
+                raise ValueError(f"--n-max must be nonnegative, got {args.n_max}")
             names = sorted(FIGURES) if args.name == "all" else [args.name]
             for name in names:
                 run_figure(name, args.out_dir, args.n_max, args.grid_points)

@@ -6,12 +6,21 @@ f = t / T_rev
     <x^m>(t) = Re[g_0 + 2 sum_{d>0} g_d(f)],
     g_d(f) = sum_a conj(c_a) (X^m)_{a,a+d} c_{a+d} exp(-i pi f k),  k = d(2a + d - 1),
 
-and likewise for p.  X^m is built once on the truncated basis, g_0 is
-constant, and each band d is one phase table times a weight vector; the
-phase is `evolution._half_turns`, exact mod 2 from the integer k.  The matrix
-oracles (apply the tridiagonal x or p matrix repeatedly to an `evolve`d state
-and take the inner product) share the ladder functions and that phase with
-it, not the band weights or sum, and cross-check it in the tests and in
+and likewise for p.  X^m is built once on the truncated basis and g_0 is
+constant.  In band d the kept levels lie on a lattice a = a_0 + g j, so k is
+linear in j and the phase of level j is P_0 (P_1 / P_0)^j.  Splitting
+j = q B + b with B = isqrt(n) factors the band's (samples x n) phase table into
+B baby-step and about n / B giant-step columns,
+
+    g_d = conj(P_0) sum_q P_{qB} sum_b P_b w_{qB+b},
+
+so about 2 sqrt(n) columns of cos and sin are evaluated in place of n.  Each
+column is `evolution._half_turns`, exact mod 2 from its own integer k, and no
+phase is raised to a power, so the rounding error stays at a few units
+whatever the level a.  The matrix oracles (apply the tridiagonal x or p matrix
+repeatedly to an `evolve`d state and take the inner product) share the ladder
+functions and that phase with it, not the band weights or sum, and
+cross-check it in the tests and in
 `kerrcat validate`; the closed forms share neither.
 The closed forms below exist only for specific initial states and powers and
 serve as further cross-checks; each one was rederived from the exact
@@ -215,6 +224,42 @@ def _band_weights(amplitudes: np.ndarray, power: int, apply) -> list[np.ndarray]
             * amplitudes[d:] for d in range(power + 1)]
 
 
+def _band_sum(fractions: np.ndarray, d: int, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j P_j(f) for each f, with P_j(f) = exp(-i pi `_half_turns`(f, a_j, a_j + d)).
+
+    The ascending levels a lie on the lattice a_0 + g j, g the gcd of their
+    spacings (l for an l-cat); holes in the lattice carry zero weight.  The
+    Kerr index k_j = d(2 a_j + d - 1) is linear in j, so P_j = P_0 (P_1 / P_0)^j,
+    and with j = q B + b, B = isqrt(n) baby steps and Q = ceil(n / B) giant steps
+
+        sum_j w_j P_j = conj(P_0) sum_q P_{qB} sum_b P_b w_{qB+b}.
+
+    Only the B + Q phase columns P_b and P_{qB} are evaluated, each exact mod 2
+    from its own integer k, so every term is a product of three correctly
+    rounded phases and its error does not grow with a.  The inner sum is one
+    (T x B) by (B x Q) complex product.
+    """
+    g = int(np.gcd.reduce(np.diff(a))) or 1  # a one-weight band has no spacing
+    j = (a - a[0]) // g
+    n = int(j[-1]) + 1
+    baby = math.isqrt(n)
+    giant = -(-n // baby)
+    lattice = np.zeros(giant * baby, dtype=complex)
+    lattice[j] = w
+
+    def phases(steps):
+        lower = a[0] + g * steps
+        return np.exp(-1j * np.pi * _half_turns(fractions[:, None], lower, lower + d))
+
+    baby_phases = phases(np.arange(baby))
+    # einsum rather than a BLAS product, which OpenBLAS splits across two threads
+    # here: the second thread's spinning doubled the CPU time of a request and
+    # saved no wall time against one thread
+    inner = np.einsum("tb,qb->tq", baby_phases, lattice.reshape(giant, baby))
+    outer = np.einsum("tq,tq->t", phases(baby * np.arange(giant)), inner)
+    return baby_phases[:, 0].conj() * outer
+
+
 def moment_series(
     spec: SuperpositionSpec,
     observable: str,
@@ -226,10 +271,13 @@ def moment_series(
     """<x^power> or <p^power> over a time grid, summed band by band.
 
     Band d > 0 of the (2 power + 1)-banded x^power or p^power contributes
-    2 Re sum_a w_a exp(-i pi f k_a) with k_a = d(2a + d - 1) an integer, and
-    `_half_turns` reduces f k_a mod 2 exactly at any f, including f = 1 where
-    every k is even.  Weights that are exactly zero (parity and the l-fold
-    photon support) or below 1e-18 of their band's largest are dropped.  The
+    2 Re sum_a w_a exp(-i pi f k_a) with k_a = d(2a + d - 1) an integer.
+    Weights that are exactly zero (parity and the l-fold photon support) or
+    below 1e-18 of their band's largest are dropped; the rest lie on a lattice
+    in a, and `_band_sum` factors the band's phase table into baby and giant
+    steps, about 2 sqrt(n) phase columns in place of n.  Each column is reduced
+    mod 2 exactly by `_half_turns` at any f, including f = 1 where every k is
+    even, so the error stays at a few roundings whatever the level a.  The
     basis is enlarged by the moment power, and the headroom check refuses a
     state with weight in its top power + 10 levels, where the truncated
     x^power departs from the full one.
@@ -250,8 +298,8 @@ def moment_series(
     for d, w in enumerate(weights[1:], start=1):
         mag = np.abs(w)
         a = np.flatnonzero(mag > 1e-18 * mag.max())
-        angle = np.pi * _half_turns(grid.fractions[:, None], a, a + d)
-        values += np.cos(angle) @ (2.0 * w[a].real) + np.sin(angle) @ (2.0 * w[a].imag)
+        if a.size:
+            values += 2.0 * _band_sum(grid.fractions, d, a, w[a]).real
     meta = {
         "l": spec.l, "h": spec.h, "nu": spec.nu, "theta": spec.theta,
         "chi": params.chi, "n_max": n_max,

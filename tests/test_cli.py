@@ -182,6 +182,29 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
 
+    @pytest.mark.parametrize("field,text", [
+        ("nu", "1e400"), ("theta", "NaN"), ("t_stop", "-Infinity"), ("wigner_times", "[0.25, NaN]"),
+    ])
+    def test_custom_non_finite_number_names_the_field(self, tmp_path, capsys, field, text):
+        # json.dumps cannot write these as a user would, so the number goes in as text
+        path = write_config(tmp_path / "nonfinite.json", **{field: "@"})
+        path.write_text(path.read_text().replace('"@"', text))
+        assert cli.main(["custom", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field '{field}': expected a ") and "finite" in err
+
+    @pytest.mark.parametrize("overrides,argv,name", [
+        ({"n_max": -3}, None, "field 'n_max'"),
+        ({"wigner_points": 1, "wigner_times": [0.25]}, None, "field 'wigner_points'"),
+        ({}, ["figure", "fig2", "--n-max", "-1"], "--n-max"),
+    ], ids=["n_max", "wigner_points", "--n-max"])
+    def test_bad_sizes_name_the_field(self, tmp_path, capsys, overrides, argv, name):
+        path = write_config(tmp_path / "sizes.json", **overrides)
+        argv = argv or ["custom", str(path)]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field,value,message", [
         ("moment_powers", [2, 2], "2 and 2"),
         ("moment_powers", [4, 2, 4.0], "4 and 4.0"),

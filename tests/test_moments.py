@@ -22,7 +22,9 @@ from kerrcat import (
     x3_three_cat,
     x_moment_oracle,
 )
-from kerrcat.moments import apply_position, moment_scale
+import kerrcat.moments
+from kerrcat.evolution import _half_turns
+from kerrcat.moments import _band_sum, _band_weights, apply_momentum, apply_position, moment_scale
 
 PARAMS = KerrParams(1.0)
 T_REV = PARAMS.t_rev
@@ -226,6 +228,19 @@ class TestMomentSeries:
             moment_series(SuperpositionSpec(1, 0, 1.0), "y", 2, PARAMS, TimeGrid.uniform(101))
 
 
+def table_series(spec, observable, power, grid, n_max):
+    """The band route without factoring: every band against its whole phase table."""
+    state = superposed_state(spec, n_max)
+    apply = apply_position if observable == "x" else apply_momentum
+    weights = _band_weights(state.amplitudes, power, apply)
+    values = np.full(grid.fractions.size, weights[0].sum().real)
+    for d, w in enumerate(weights[1:], start=1):
+        a = np.flatnonzero(w)
+        table = np.exp(-1j * np.pi * _half_turns(grid.fractions[:, None], a, a + d))
+        values += 2.0 * (table @ w[a]).real
+    return values
+
+
 def oracle_series(spec, observable, power, grid, n_max):
     """The moment at each sample by the matrix oracle on an evolved state."""
     oracle = x_moment_oracle if observable == "x" else p_moment_oracle
@@ -235,7 +250,8 @@ def oracle_series(spec, observable, power, grid, n_max):
 
 class TestBandRoute:
     """moment_series against the matrix oracle, sample by sample, at 1e-11 of
-    the observable scale (2 nu + 1)^(power/2)."""
+    the observable scale (2 nu + 1)^(power/2), and its baby/giant-step band
+    sums against whole phase tables at 1e-15."""
 
     # burst times of l <= 4, generic times, and the ends where phase reduction matters most
     FRACTIONS = [0.0, 1 / 32, 1 / 9, 0.1234, 1 / 8, 1 / 4, 1 / 3, 0.41, 1 / 2, 0.6789,
@@ -279,3 +295,52 @@ class TestBandRoute:
         # the state builds on 70 + 1 levels, but x^8 would reach its top 18 slots
         with pytest.raises(HeadroomError, match="increase n_max"):
             moment_series(SuperpositionSpec(1, 0, 20.0), "x", 8, PARAMS, TimeGrid.uniform(11), 70)
+
+    def test_factored_sum_matches_whole_table(self):
+        fractions = np.array(self.FRACTIONS)
+        rng = np.random.default_rng(7)
+        levels = {
+            "holes": np.array([3, 4, 6, 9, 10, 14]),
+            "stride 3, n = 11": 1 + 3 * np.arange(11),
+            "stride 3 with holes, high levels": 301 + 3 * np.array([0, 1, 2, 5, 7, 8, 12]),
+            "one weight": np.array([57]),
+            "n = 16": 40 + np.arange(16),
+            "n = 150": 20 + np.arange(150),
+        }
+        for case, a in levels.items():
+            w = rng.normal(size=a.size) + 1j * rng.normal(size=a.size)
+            for d in (1, 3, 8):
+                table = np.exp(-1j * np.pi * _half_turns(fractions[:, None], a, a + d))
+                err = np.max(np.abs(_band_sum(fractions, d, a, w) - table @ w))
+                assert err < 1e-15 * np.abs(w).sum(), (case, d)
+
+    def test_series_match_whole_table_sums(self):
+        grid = TimeGrid(np.unique(self.FRACTIONS + list(np.linspace(0.0, 1.0, 97))))
+        for (l, h), observable, power in [((1, 0), "x", 4), ((1, 0), "p", 5), ((2, 0), "x", 6),
+                                          ((3, 0), "p", 6), ((3, 1), "x", 9), ((4, 0), "x", 8)]:
+            spec = SuperpositionSpec(l, h, 100.0)
+            series = moment_series(spec, observable, power, PARAMS, grid)
+            want = table_series(spec, observable, power, grid, series.meta["n_max"])
+            scale = (2 * spec.nu + 1) ** (power / 2)
+            assert np.max(np.abs(series.values - want)) < 1e-15 * scale, (l, h, observable, power)
+
+    def test_revival_ends_equal_and_flat_series_constant(self):
+        grid = TimeGrid(np.array(self.FRACTIONS))
+        for spec, observable, power in [(SuperpositionSpec(3, 1, 20.0), "p", 6),
+                                        (SuperpositionSpec(4, 0, 20.0), "x", 8)]:
+            values = moment_series(spec, observable, power, PARAMS, grid).values
+            assert values[-1] == values[0]
+        for l, power in [(3, 2), (3, 4), (4, 2)]:
+            values = moment_series(SuperpositionSpec(l, 0, 100.0), "x", power, PARAMS, grid).values
+            assert np.ptp(values) == 0
+
+    @pytest.mark.parametrize("mutant", [
+        lambda orig: lambda f, lo, up: -orig(f, lo, up),  # conjugated propagator
+        lambda orig: lambda f, lo, up: np.mod(f * (up**2 - lo**2), 2.0),  # n^2 spectrum
+    ], ids=["conjugated", "n_squared"])
+    def test_wrong_kerr_phase_moves_the_series(self, monkeypatch, mutant):
+        spec, grid = SuperpositionSpec(2, 0, 30.0), TimeGrid.uniform(241, 0.0, 0.5)
+        right = moment_series(spec, "x", 4, PARAMS, grid).values
+        monkeypatch.setattr(kerrcat.moments, "_half_turns", mutant(_half_turns))
+        wrong = moment_series(spec, "x", 4, PARAMS, grid).values
+        assert np.max(np.abs(wrong - right)) > 0.1 * (2 * spec.nu + 1) ** 2
