@@ -71,6 +71,7 @@ from .entropy import (
 from .schedule import (
     MatchReport,
     detect_bursts,
+    detect_dips,
     detect_minima,
     match_report,
     visible_burst_times,

@@ -77,11 +77,14 @@ def _has_type(value, kind) -> bool:
         return isinstance(value, list) and all(_has_type(v, float) for v in value)
     if kind is float:  # the bound also fails NaN and integers too large for a float
         return _has_type(value, numbers.Real) and abs(value) <= sys.float_info.max
+    if kind is int:  # numpy and scipy take integers only up to int64
+        return isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63
     return isinstance(value, kind) and not isinstance(value, bool)  # true is not a number
 
 
 def _kind_name(kind) -> str:
-    return {float: "a finite number", list: "a list of finite numbers"}.get(kind, kind.__name__)
+    return {float: "a finite number", list: "a list of finite numbers",
+            int: "an integer within int64"}.get(kind, kind.__name__)
 
 
 def _time_label(frac: float) -> str:

@@ -31,10 +31,13 @@ from scipy.special import xlogy
 from .evolution import KerrParams, TimeGrid, TimeSeries, evolve_amplitudes
 from .states import FockState, SuperpositionSpec, mean_photon_number, superposed_state, truncation_dim
 
-# Composite Simpson at 0.005 is not uniformly converged: against step 0.001,
-# the Renyi sum (2, 2/3) of the 2-cat at nu = 30, t = 0.37 T_rev is off by
-# 1e-9 and of the 3-cat at t = 0 by 1e-14, but of the 2-cat at nu = 35,
-# t = T_rev/4 by 2.0e-5 (6.6e-6 at 0.0025).  Step 0.02 leaves ~5e-5 residuals.
+# Composite Simpson at 0.005 is not uniformly converged.  Against a trapezoid
+# at step 2.5e-4 on a span 2 wider, over the benchmark's seven entropy states,
+# the 33 times j/q <= 1/2 with q <= 14 and the pairs zeta = 2/3, 0.6, 0.75,
+# 0.8, 0.9, the Renyi sum is off by at most 1.4e-5 (3-cat, nu = 30, T_rev/4,
+# zeta = 0.6).  The largest errors sit at zeta = 0.6, whose f^zeta has the
+# sharpest cusps at zeros of the density, and the plain trapezoid at 0.005 is
+# off by as much there (1.4e-5 at the 2-cat, nu = 35, T_rev/12).
 DEFAULT_GRID_STEP = 0.005
 DEFAULT_GRID_PAD = 6.0
 # time rows per projection block: the product and density tables stay a few MB;

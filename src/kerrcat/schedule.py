@@ -13,6 +13,29 @@ k-sub-packet times are j/k with gcd(j, k) = 1.
 A moment series <x^m> only reacts to the subset of these times at which one
 of its damping branches releases; `visible_burst_times` computes that subset
 exactly and is what burst detection should be matched against.
+
+The detectors take no settings and share one core: the signal is reflected
+evenly at both ends, so a feature on the final sample is completed rather than
+cut; runs of flagged samples become weighted centroids; features outside the
+grid, too close to the previous one, or at a whole revival (integral t/T_rev,
+which is no fractional revival) are dropped.  Their constants and reasons:
+
+  * `detect_bursts` flags deviations from the median above the largest of
+    5 MAD (the plateau spread while bursts fill few samples; where bursts
+    fill the series it rises above the weak ones), 1e-6 of the largest
+    deviation (a noise-free plateau has a MAD of 0) and 1e-10 of the largest
+    |value| (rounding noise of a constant moment sits near 1e-16 of it, while
+    the nu = 100 bursts up to x^9 reach at least 8%).  Runs within 10 samples
+    merge: one burst crosses the threshold once per oscillation lobe.
+  * `detect_dips` smooths over 5 samples to average out the fringes inside a
+    dip, flags samples 0.15 below the median and merges runs within 8
+    samples; the centroid centers an oscillatory dip far better than its
+    deepest sample.  These values find every required dip of the 1001-sample
+    Renyi sums on [0, T_rev/2] in the acceptance tests.
+  * `detect_minima` keeps the local minima below the median with a
+    prominence of 0.05.  They fall on sample times, which the benchmark's
+    entropy check requires, but ripples count too: 168 to 174 of them on each
+    of those acceptance series.
 """
 
 from __future__ import annotations
@@ -26,151 +49,98 @@ from scipy.signal import find_peaks
 
 from .evolution import TimeSeries
 
-# burst threshold floor relative to the series scale: rounding noise of a
-# constant moment sits near 1e-16 of its value, while the bursts of the
-# nu = 100 moment series up to x^9 reach at least 8% of theirs
+_BURST_MADS = 5.0
+_BURST_REL_FLOOR = 1e-6
 _SCALE_FLOOR = 1e-10
+_BURST_MERGE_GAP = 10
+_MINIMA_PROMINENCE = 0.05
+_DIP_SMOOTH = 5
+_DIP_DEPTH = 0.15
+_DIP_MERGE_GAP = 8
 
 
 def visible_burst_times(l: int, power: int, window: tuple[float, float] = (0.0, 1.0)) -> list[Fraction]:
     """Times where <x^power> (or <p^power>) of the order-l cat bursts.
 
     A net ladder change s contributes to the power-m moment when s <= m,
-    s = m (mod 2) and (for l >= 2) l divides s; its damping branch d releases
-    at times with s t - d/l integral.  The union over admissible (s, d) is the
-    complete burst schedule; it contains events beyond the naive reading of
-    the k-sub-packet rule (for l = 2, power 6 the s = 4 content bursts at odd
-    j/8 as well as at j/12).
+    s = m (mod 2) and l divides s; its damping branch d releases at times
+    with s t - d/l integral, that is at every j/(l s).  The union over
+    admissible s is the complete burst schedule; it contains events beyond
+    the naive reading of the k-sub-packet rule (for l = 2, power 6 the s = 4
+    content bursts at odd j/8 as well as at j/12).
     """
     if l < 1 or power < 1:
         raise ValueError("need l >= 1 and power >= 1")
     lo, hi = window
-    out: set[Fraction] = set()
-    step = l if l > 1 else 1
-    start = step if l > 1 else (2 if power % 2 == 0 else 1)
-    for s in range(start, power + 1, step):
-        if (power - s) % 2 != 0:
-            continue
-        for d in range(l if l > 1 else 1):
-            for rep in range(s):
-                fr = Fraction(d, l * s) + Fraction(rep, s) if l > 1 else Fraction(rep, s)
-                if lo < fr < 1 and (fr <= hi or math.isclose(float(fr), hi)):
-                    out.add(fr)
-    return sorted(out)
+    times = {Fraction(j, l * s) for s in range(l, power + 1, l) if (power - s) % 2 == 0
+             for j in range(l * s)}
+    return sorted(t for t in times if lo < t < 1 and (t <= hi or math.isclose(float(t), hi)))
 
 
-def _reflect(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Even extension at both ends; returns extended array and pad length."""
+def _reflected(values: np.ndarray, fractions: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Even extension of `values` at both ends, its time axis and the pad length."""
     pad = values.size - 1
-    return np.concatenate([values[pad:0:-1], values, values[-2: -pad - 2: -1]]), pad
-
-
-def _grouped_windows(idx: np.ndarray, merge_gap: int) -> list[np.ndarray]:
-    if idx.size == 0:
-        return []
-    return np.split(idx, np.flatnonzero(np.diff(idx) > merge_gap) + 1)
-
-
-def _extended_axis(fractions: np.ndarray, pad: int) -> np.ndarray:
     step = fractions[1] - fractions[0]
-    left = fractions[0] - step * np.arange(pad, 0, -1)
-    right = fractions[-1] + step * np.arange(1, pad + 1)
-    return np.concatenate([left, fractions, right])
+    axis = np.concatenate([fractions[0] - step * np.arange(pad, 0, -1), fractions,
+                           fractions[-1] + step * np.arange(1, pad + 1)])
+    return np.concatenate([values[pad:0:-1], values, values[-2: -pad - 2: -1]]), axis, pad
 
 
-def _keep_center(center: float, fractions: np.ndarray, step: float) -> bool:
-    inside = fractions[0] - step / 2 <= center <= fractions[-1] + step / 2
-    # windows centered on a whole revival (t/T_rev integral) are not
-    # fractional-revival features and are dropped
-    return inside and abs(center - round(center)) > 2 * step
+def _centroids(axis: np.ndarray, flagged: np.ndarray, weight, gap: int) -> list[float]:
+    """Centroids of runs of flagged samples, weighted by `weight(run slice)`; runs <= `gap` apart merge."""
+    idx = np.flatnonzero(flagged)
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > gap) + 1) if idx.size else []
+    out = []
+    for run in runs:
+        seg = slice(run[0], run[-1] + 1)
+        weights = weight(seg)
+        out.append(float(np.sum(axis[seg] * weights) / np.sum(weights)))
+    return out
 
 
-def detect_bursts(series: TimeSeries, n_mads: float = 5.0, rel_floor: float = 1e-6,
-                  merge_gap: int = 10) -> list[float]:
-    """Centers of burst windows where |value - plateau| exceeds 5 MAD.
+def _kept(centers: list[float], series: TimeSeries, min_gap: float) -> list[float]:
+    """Sorted centers inside the grid, off the whole revivals, each over `min_gap` past the last."""
+    fractions, step = series.grid.fractions, series.grid.step
+    kept: list[float] = []
+    for c in sorted(c for c in centers if fractions[0] - step / 2 <= c <= fractions[-1] + step / 2
+                    and abs(c - round(c)) > 2 * step):
+        if not kept or c - kept[-1] > min_gap:
+            kept.append(c)
+    return kept
 
-    plateau = median of the series; the threshold has a small floor relative
-    to the largest deviation so a noise-free plateau cannot produce windows,
-    and a floor of 1e-10 of the largest |value| so a constant moment, whose
-    deviations are rounding noise, produces none either.
-    The deviation signal is evenly reflected at both ends, so a burst centered
-    on the final sample (a window ending exactly on a fractional time) is
-    completed symmetrically instead of being truncated.  Windows separated by
-    fewer than `merge_gap` samples merge: a single burst crosses the
-    threshold once per oscillation lobe.  Each window is reported by its
-    deviation-weighted centroid.
-    """
+
+def detect_bursts(series: TimeSeries) -> list[float]:
+    """Deviation-weighted centers of the bursts of a moment series (see the module notes)."""
     vals = series.values
     if vals.size < 100:
         raise ValueError("series too short for burst detection")
     dev = vals - np.median(vals)
-    mad = np.median(np.abs(dev))
-    peak = np.max(np.abs(dev))
-    threshold = max(n_mads * mad, rel_floor * peak, _SCALE_FLOOR * np.max(np.abs(vals)))
+    mad, peak = np.median(np.abs(dev)), np.max(np.abs(dev))
+    threshold = max(_BURST_MADS * mad, _BURST_REL_FLOOR * peak, _SCALE_FLOOR * np.max(np.abs(vals)))
     if threshold == 0 or peak == 0:
         return []
-    dev_ext, pad = _reflect(dev)
-    axis = _extended_axis(series.grid.fractions, pad)
-    step = series.grid.step
-    centers: list[float] = []
-    for group in _grouped_windows(np.flatnonzero(np.abs(dev_ext) > threshold), merge_gap):
-        seg = slice(group[0], group[-1] + 1)
-        weights = np.abs(dev_ext[seg])
-        center = float(np.sum(axis[seg] * weights) / np.sum(weights))
-        if _keep_center(center, series.grid.fractions, step):
-            centers.append(center)
-    centers.sort()
-    deduped: list[float] = []
-    for c in centers:
-        if not deduped or c - deduped[-1] > step:
-            deduped.append(c)
-    return deduped
+    dev_ext, axis, _ = _reflected(dev, series.grid.fractions)
+    centers = _centroids(axis, np.abs(dev_ext) > threshold, lambda seg: np.abs(dev_ext[seg]),
+                         _BURST_MERGE_GAP)
+    return _kept(centers, series, series.grid.step)
 
 
-def detect_minima(series: TimeSeries, prominence: float = 0.05,
-                  smooth_window: int = 1, depth: float | None = None,
-                  merge_gap: int = 8) -> list[float]:
-    """Locations of significant local minima of a time series.
+def detect_minima(series: TimeSeries) -> list[float]:
+    """Sample times of the prominent local minima below the series median."""
+    vals_ext, axis, _ = _reflected(series.values, series.grid.fractions)
+    peaks = find_peaks(-vals_ext, prominence=_MINIMA_PROMINENCE)[0]
+    below = peaks[vals_ext[peaks] < np.median(series.values)]
+    return _kept([float(axis[p]) for p in below], series, series.grid.step / 2)
 
-    Default mode (depth=None): strict local minima of the (optionally
-    smoothed) series lying below the series median, with the given peak
-    prominence.
 
-    Depression mode (depth set): contiguous regions where the smoothed series
-    drops more than `depth` below its median, merged over gaps of up to
-    `merge_gap` samples and reported by their depth-weighted centroid.  This
-    locates the center of an oscillatory entropy dip far more accurately than
-    the deepest sample, which may sit several samples off-center.
-
-    Both modes evenly reflect the series at its ends (a minimum on the final
-    sample is recovered) and drop features at whole revivals (integral
-    t/T_rev).
-    """
-    vals_ext, pad = _reflect(series.values)
-    axis = _extended_axis(series.grid.fractions, pad)
-    step = series.grid.step
-    w = max(1, int(smooth_window)) | 1
-    smooth = np.convolve(vals_ext, np.ones(w) / w, mode="same") if w > 1 else vals_ext
+def detect_dips(series: TimeSeries) -> list[float]:
+    """Depth-weighted centers of the dips of a Renyi-sum series (see the module notes)."""
+    vals_ext, axis, pad = _reflected(series.values, series.grid.fractions)
+    smooth = np.convolve(vals_ext, np.ones(_DIP_SMOOTH) / _DIP_SMOOTH, mode="same")
     baseline = float(np.median(smooth[pad: pad + series.values.size]))
-    out: list[float] = []
-    if depth is None:
-        peaks, _ = find_peaks(-smooth, prominence=prominence)
-        for p in peaks:
-            if smooth[p] < baseline and _keep_center(float(axis[p]), series.grid.fractions, step):
-                out.append(float(axis[p]))
-    else:
-        for group in _grouped_windows(np.flatnonzero(smooth < baseline - depth), merge_gap):
-            seg = slice(group[0], group[-1] + 1)
-            weights = baseline - smooth[seg]
-            center = float(np.sum(axis[seg] * weights) / np.sum(weights))
-            if _keep_center(center, series.grid.fractions, step):
-                out.append(center)
-    out.sort()
-    deduped: list[float] = []
-    for c in out:
-        if not deduped or c - deduped[-1] > step / 2:
-            deduped.append(c)
-    return deduped
+    centers = _centroids(axis, smooth < baseline - _DIP_DEPTH, lambda seg: baseline - smooth[seg],
+                         _DIP_MERGE_GAP)
+    return _kept(centers, series, series.grid.step / 2)
 
 
 @dataclass

@@ -44,6 +44,8 @@ DEFAULT_POINTS = 401
 DEFAULT_PAD = 5.0
 _SUPPORT_EPS = 1e-14  # amplitudes below this share of the largest do not widen R
 _TAIL = 6.0  # the vacuum W, exp(-r^2)/pi, falls below 1e-16 at r = 6.07
+_LOBE_BLUR = 0.5  # phase-space scale of the coarse-graining that counts lobes
+_LOBE_LEVEL = 0.5  # share of the coarse-grained maximum a lobe rises above
 
 
 class GridCoverageWarning(UserWarning):
@@ -168,8 +170,8 @@ def wigner_marginals(field: PhaseSpaceField) -> tuple[np.ndarray, np.ndarray]:
     return x_density, p_density
 
 
-def coarse_grained(field: PhaseSpaceField, blur: float = 0.5) -> np.ndarray:
-    """Gaussian coarse-graining of W over a phase-space scale `blur`.
+def _lobe_labels(field: PhaseSpaceField):
+    """Coarse-grained W, its lobe labels and the lobe count.
 
     Interference fringes oscillate with wavelength 2 pi / separation and
     average to zero under a blur wider than that wavelength; coherent lobes
@@ -178,17 +180,12 @@ def coarse_grained(field: PhaseSpaceField, blur: float = 0.5) -> np.ndarray:
     sit on a circle of radius >> 1.
     """
     cx, cp = field.grid.cell
-    return ndimage.gaussian_filter(field.values, sigma=(blur / cx, blur / cp))
-
-
-def _lobe_labels(field: PhaseSpaceField, rel_threshold: float, blur: float):
-    smooth = coarse_grained(field, blur)
-    labels, count = ndimage.label(smooth > rel_threshold * smooth.max())
+    smooth = ndimage.gaussian_filter(field.values, sigma=(_LOBE_BLUR / cx, _LOBE_BLUR / cp))
+    labels, count = ndimage.label(smooth > _LOBE_LEVEL * smooth.max())
     return smooth, labels, count
 
 
-def count_lobes(field: PhaseSpaceField, rel_threshold: float = 0.5,
-                blur: float = 0.5) -> int:
+def count_lobes(field: PhaseSpaceField) -> int:
     """Number of coherent lobes: regions above half the coarse-grained maximum.
 
     Thresholding the raw field would fail: where several pairwise fringe
@@ -197,17 +194,16 @@ def count_lobes(field: PhaseSpaceField, rel_threshold: float = 0.5,
     sit above every lobe.  After coarse-graining the lobes are the only
     survivors and the half-max threshold is meaningful.
     """
-    _, _, count = _lobe_labels(field, rel_threshold, blur)
+    _, _, count = _lobe_labels(field)
     return int(count)
 
 
-def lobe_peaks(field: PhaseSpaceField, rel_threshold: float = 0.5,
-               blur: float = 0.5) -> list[tuple[float, float, float]]:
+def lobe_peaks(field: PhaseSpaceField) -> list[tuple[float, float, float]]:
     """Per-lobe (x, p, W_smooth) peak positions, strongest first.
 
     Peaks are taken on the coarse-grained field, whose maxima sit at the
     coherent-component centers."""
-    smooth, labels, count = _lobe_labels(field, rel_threshold, blur)
+    smooth, labels, count = _lobe_labels(field)
     xs, ps = field.grid.xs(), field.grid.ps()
     peaks = []
     for lab in range(1, count + 1):

@@ -23,7 +23,7 @@ from kerrcat import (
     coherent_state,
     count_lobes,
     detect_bursts,
-    detect_minima,
+    detect_dips,
     entropy_series,
     evolve,
     fidelity,
@@ -277,7 +277,7 @@ def test_criterion_7_entropy_minima():
     for l, nu, required in ENTROPY_CASES:
         grid = TimeGrid.uniform(1001, 0.0, 0.5)
         series = entropy_series(SuperpositionSpec(l, 0, nu), PARAMS, grid, PAIR)
-        found = detect_minima(series, smooth_window=5, depth=0.15, merge_gap=8)
+        found = detect_dips(series)
         assert len(found) <= 25, (l, len(found))
         rep = match_report(found, required, tol=2 * grid.step)
         assert rep.misses == [], (l, rep.misses)

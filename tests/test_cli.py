@@ -182,6 +182,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("l", 10**21), ("l", 1e21), ("t_points", 10**20), ("wigner_points", -2**63 - 1),
+    ])
+    def test_custom_integer_beyond_int64_names_the_field(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path / "huge.json", **{field: value})
+        assert cli.main(["custom", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field '{field}': expected an integer within int64")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field,text", [
         ("nu", "1e400"), ("theta", "NaN"), ("t_stop", "-Infinity"), ("wigner_times", "[0.25, NaN]"),
     ])

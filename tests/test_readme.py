@@ -17,3 +17,7 @@ def test_library_sketch_runs():
     predicted = [float(f) for f in scope["visible_burst_times"](2, 4)]
     assert len(detected) == len(predicted)
     np.testing.assert_allclose(detected, predicted, rtol=0, atol=1e-4)
+    dips = scope["detect_dips"](scope["ent"])
+    step = scope["ent"].grid.step
+    for t in {j / 8 for j in range(1, 5)} | {j / 12 for j in range(1, 7)}:
+        assert min(abs(d - t) for d in dips) <= 2 * step, t

@@ -9,6 +9,7 @@ from kerrcat import (
     TimeGrid,
     TimeSeries,
     detect_bursts,
+    detect_dips,
     detect_minima,
     match_report,
     moment_series,
@@ -58,6 +59,19 @@ class TestVisibleBurstTimes:
         visible = set(visible_burst_times(2, 6))
         assert F(1, 6) in visible and F(1, 6) not in coprime
         assert visible - coprime == {F(1, 6), F(1, 3), F(2, 3), F(5, 6)}
+
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (0.0, 0.5), (0.1, 0.37)])
+    def test_matches_the_release_rule(self, window):
+        # t is a release time when l s t is an integer for some net ladder
+        # change s <= m with s = m (mod 2) and l | s; every such t has a
+        # denominator of at most l m
+        lo, hi = window
+        for l in range(1, 6):
+            for m in range(1, 11):
+                admissible = [s for s in range(1, m + 1) if (m - s) % 2 == 0 and s % l == 0]
+                want = sorted({t for q in range(1, l * m + 1) for t in (F(j, q) for j in range(q))
+                               if lo < t <= hi and any((l * s * t).denominator == 1 for s in admissible)})
+                assert visible_burst_times(l, m, window) == want, (l, m)
 
 
 def series_from(values, start=0.0, stop=1.0):
@@ -147,18 +161,20 @@ class TestDetectMinima:
         for want in (0.25, 0.75):
             assert min(abs(f - want) for f in found) < 2e-3
 
-    def test_depression_mode_centroids(self):
+
+class TestDetectDips:
+    def test_oscillatory_dip_centroid(self):
         # oscillation inside the dip shifts the pointwise minimum but not the centroid
         t = np.linspace(0, 1, 1001)
         vals = 5.0 - np.exp(-((t - 0.5) ** 2) / (2 * 0.02**2)) * (1 + 0.3 * np.cos(500 * (t - 0.5) + 1.0))
-        found = detect_minima(series_from(vals), smooth_window=5, depth=0.3)
+        found = detect_dips(series_from(vals))
         assert len(found) == 1
         assert abs(found[0] - 0.5) < 2e-3
 
     def test_dip_on_final_sample(self):
         t = np.linspace(0, 0.5, 501)
         vals = 4.0 - np.exp(-((t - 0.5) ** 2) / (2 * 0.01**2))
-        found = detect_minima(series_from(vals, 0.0, 0.5), smooth_window=3, depth=0.3)
+        found = detect_dips(series_from(vals, 0.0, 0.5))
         assert len(found) == 1
         assert abs(found[0] - 0.5) <= 2 * (t[1] - t[0])
 
