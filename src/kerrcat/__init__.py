@@ -51,10 +51,7 @@ from .wigner import (
     PhaseSpaceField,
     PhaseSpaceGrid,
     count_lobes,
-    lobe_peaks,
-    rotation_symmetry_defect,
     wigner_field,
-    wigner_marginals,
 )
 from .entropy import (
     DensityProfile,

@@ -24,10 +24,15 @@ pi/h >= max|p| + R; s is the smallest integer that achieves it.  A fixed
 s = 1 is not enough: on the 201^2 default grid of the 4-cat at nu = 30,
 t = T_rev/32, the images reach 9.2e-10, while the rule picks s = 2 and meets
 the coherent-sum closed form to 2e-15.
+
+A field's two files, an x-major 'x,p,W' CSV and a gnuplot nonuniform matrix,
+come from one formatting pass (`textfmt.portrait_tables`); the writer called
+first holds the other text on the field until the other writer takes it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,8 +42,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .entropy import position_wavefunction
-from .states import FockState, mean_photon_number, rotate_state
-from .textfmt import SLOT, fill, float_strings, labelled_lines
+from .states import FockState, mean_photon_number
+from .textfmt import portrait_tables
 
 DEFAULT_POINTS = 401
 DEFAULT_PAD = 5.0
@@ -91,10 +96,17 @@ def default_grid(state: FockState, points: int = DEFAULT_POINTS,
 
 @dataclass(frozen=True)
 class PhaseSpaceField:
-    """Wigner values on a rectangular grid; values[i, j] = W(xs[i], ps[j])."""
+    """Wigner values on a rectangular grid; values[i, j] = W(xs[i], ps[j]).
+
+    `values` is read-only, so the text one writer holds for the other cannot
+    go stale.  Each writer returns the same text whichever order the two run
+    in and however often each is called; once both have run, the field holds
+    no text.
+    """
 
     grid: PhaseSpaceGrid
     values: np.ndarray
+    _held: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -102,6 +114,7 @@ class PhaseSpaceField:
             raise ValueError("values shape must be (n_x, n_p)")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def integral(self) -> float:
@@ -109,23 +122,21 @@ class PhaseSpaceField:
         return float(np.trapezoid(inner, self.grid.xs()))
 
     def to_csv(self) -> str:
-        # one "x,p,W" line per point, x-major; one template per x row
-        ps = float_strings(self.grid.ps())
-        lines = ["x,p,W"]
-        for x, row in zip(float_strings(self.grid.xs()), self.values):
-            lines.append(fill(labelled_lines(ps, x + ","), row))
-        lines.append("")  # trailing newline without copying the joined text
-        return "\n".join(lines)
+        """The 'x,p,W' CSV, one line per grid point, x-major."""
+        return self._take("csv")
 
     def to_gnuplot_matrix(self) -> str:
-        # nonuniform-matrix layout: first row n_x then x values; rows are p, W(x_i, p)
-        xs = float_strings(self.grid.xs())
-        slots = f" {SLOT}" * len(xs)
-        rows = [" ".join([str(len(xs))] + xs)]
-        for j, p in enumerate(float_strings(self.grid.ps())):
-            rows.append(fill(p + slots, self.values[:, j]))
-        rows.append("")
-        return "\n".join(rows)
+        """The gnuplot nonuniform matrix: n_x and the xs, then p and W(x_i, p) per p."""
+        return self._take("dat")
+
+    def _take(self, kind: str) -> str:
+        text = self._held.pop(kind, None)
+        if text is None:
+            tables = dict(zip(("csv", "dat"),
+                              portrait_tables(self.grid.xs(), self.grid.ps(), self.values)))
+            text = tables.pop(kind)
+            self._held.update(tables)
+        return text
 
 
 def wigner_field(state: FockState, grid: PhaseSpaceGrid | None = None) -> PhaseSpaceField:
@@ -163,13 +174,6 @@ def wigner_field(state: FockState, grid: PhaseSpaceGrid | None = None) -> PhaseS
     return PhaseSpaceField(grid, values)
 
 
-def wigner_marginals(field: PhaseSpaceField) -> tuple[np.ndarray, np.ndarray]:
-    """(x-density, p-density) by trapezoid integration over the other axis."""
-    x_density = np.trapezoid(field.values, field.grid.ps(), axis=1)
-    p_density = np.trapezoid(field.values, field.grid.xs(), axis=0)
-    return x_density, p_density
-
-
 def _lobe_labels(field: PhaseSpaceField):
     """Coarse-grained W, its lobe labels and the lobe count.
 
@@ -196,31 +200,3 @@ def count_lobes(field: PhaseSpaceField) -> int:
     """
     _, _, count = _lobe_labels(field)
     return int(count)
-
-
-def lobe_peaks(field: PhaseSpaceField) -> list[tuple[float, float, float]]:
-    """Per-lobe (x, p, W_smooth) peak positions, strongest first.
-
-    Peaks are taken on the coarse-grained field, whose maxima sit at the
-    coherent-component centers."""
-    smooth, labels, count = _lobe_labels(field)
-    xs, ps = field.grid.xs(), field.grid.ps()
-    peaks = []
-    for lab in range(1, count + 1):
-        region = np.where(labels == lab, smooth, -np.inf)
-        i, j = np.unravel_index(np.argmax(region), region.shape)
-        peaks.append((float(xs[i]), float(ps[j]), float(smooth[i, j])))
-    peaks.sort(key=lambda t: -t[2])
-    return peaks
-
-
-def rotation_symmetry_defect(state: FockState, fold: int) -> float:
-    """max |W(z) - W(z e^{2 pi i / fold})| over the state's default grid.
-
-    The turned portrait is the field of the state rotated by 2 pi / fold, on
-    the same grid points, so the comparison carries no interpolation error.
-    """
-    grid = default_grid(state)
-    turned = rotate_state(state, 2.0 * np.pi / fold)
-    return float(np.max(np.abs(wigner_field(state, grid).values
-                               - wigner_field(turned, grid).values)))

@@ -29,25 +29,23 @@ from kerrcat import (
     fidelity,
     ladder_expectation_coherent,
     ladder_moment_oracle,
-    lobe_peaks,
     match_report,
     moment_series,
     momentum_density,
     position_density,
     renyi_bound,
     renyi_uncertainty_sum,
-    rotation_symmetry_defect,
     superposed_state,
     truncation_dim,
     visible_burst_times,
     wigner_field,
-    wigner_marginals,
     x2_even_cat,
     x3_three_cat,
     x_moment_oracle,
 )
 from kerrcat.moments import moment_scale
 from kerrcat.wigner import default_grid
+from wigner_checks import lobe_peaks, rotation_symmetry_defect, wigner_marginals
 
 PARAMS = KerrParams(1.0)
 T_REV = PARAMS.t_rev

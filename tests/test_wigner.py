@@ -15,16 +15,15 @@ from kerrcat import (
     coherent_state,
     count_lobes,
     evolve,
-    lobe_peaks,
     momentum_density,
     position_density,
     position_wavefunction,
-    rotation_symmetry_defect,
     superposed_state,
     wigner_field,
-    wigner_marginals,
 )
+from kerrcat import textfmt
 from kerrcat.wigner import default_grid
+from wigner_checks import lobe_peaks, rotation_symmetry_defect, wigner_marginals
 
 PARAMS = KerrParams(1.0)
 T_REV = PARAMS.t_rev
@@ -135,6 +134,11 @@ class TestField:
         assert np.max(np.abs(rho - rho_direct)) < 1e-6
         assert np.max(np.abs(gamma - gamma_direct)) < 1e-6
 
+    def test_values_read_only(self):
+        field = wigner_field(coherent_state(1.0, n_max=40), PhaseSpaceGrid.square(7.0, 21))
+        with pytest.raises(ValueError, match="read-only"):
+            field.values[0, 0] = 1.0
+
     def test_grid_too_small_warns(self):
         state = coherent_state(20.0)
         with pytest.warns(GridCoverageWarning):
@@ -169,8 +173,32 @@ class TestRadiusGroupedKernel:
         closed_form_check(field, lambda x, p: np.exp(-((x - x0) ** 2) - (p - p0) ** 2) / np.pi, 1e-13)
 
 
+def golden_csv(field):
+    """The CSV as specified: one f-string line per point, x-major."""
+    want = ["x,p,W"]
+    for i, x in enumerate(field.grid.xs()):
+        for j, p in enumerate(field.grid.ps()):
+            want.append(f"{x:.17g},{p:.17g},{field.values[i, j]:.17g}")
+    return "\n".join(want) + "\n"
+
+
+def golden_matrix(field):
+    """The gnuplot nonuniform matrix as specified, one f-string per number."""
+    xs, ps = field.grid.xs(), field.grid.ps()
+    want = [" ".join([str(len(xs))] + [f"{x:.17g}" for x in xs])]
+    for j, p in enumerate(ps):
+        want.append(" ".join([f"{p:.17g}"] + [f"{field.values[i, j]:.17g}" for i in range(len(xs))]))
+    return "\n".join(want) + "\n"
+
+
+def write(field, kind):
+    return field.to_csv() if kind == "csv" else field.to_gnuplot_matrix()
+
+
 class TestWriterGolden:
-    """Both writers against the per-value f-string layout they were specified with."""
+    """Both writers against the per-value f-string layout they were specified
+    with, in every call order, on a 7x5 field of extreme values and on a 401^2
+    portrait."""
 
     @staticmethod
     def _field():
@@ -180,21 +208,48 @@ class TestWriterGolden:
         values[0, 0], values[1, 1], values[2, 2] = -0.0, 3e-310, 1.0
         return PhaseSpaceField(grid, values)
 
+    @pytest.fixture(scope="class", params=["7x5", "portrait401"])
+    def case(self, request):
+        if request.param == "7x5":
+            field = self._field()
+        else:
+            state = evolve(superposed_state(SuperpositionSpec(3, 0, 20.0)), PARAMS, T_REV / 18)
+            field = wigner_field(state, default_grid(state, 401))
+        return field, {"csv": golden_csv(field), "dat": golden_matrix(field)}
+
     def test_csv_bytes(self):
         field = self._field()
-        want = ["x,p,W"]
-        for i, x in enumerate(field.grid.xs()):
-            for j, p in enumerate(field.grid.ps()):
-                want.append(f"{x:.17g},{p:.17g},{field.values[i, j]:.17g}")
-        assert field.to_csv() == "\n".join(want) + "\n"
+        assert field.to_csv() == golden_csv(field)
 
     def test_gnuplot_bytes(self):
         field = self._field()
-        xs, ps = field.grid.xs(), field.grid.ps()
-        want = [" ".join([str(len(xs))] + [f"{x:.17g}" for x in xs])]
-        for j, p in enumerate(ps):
-            want.append(" ".join([f"{p:.17g}"] + [f"{field.values[i, j]:.17g}" for i in range(len(xs))]))
-        assert field.to_gnuplot_matrix() == "\n".join(want) + "\n"
+        assert field.to_gnuplot_matrix() == golden_matrix(field)
+
+    @pytest.mark.parametrize("order", [("csv", "dat"), ("dat", "csv"), ("csv", "csv"),
+                                       ("dat", "dat"), ("csv",), ("dat",)], ids="-".join)
+    def test_every_call_order(self, case, order):
+        source, want = case
+        field = PhaseSpaceField(source.grid, source.values)
+        for kind in order:
+            assert write(field, kind) == want[kind]
+        if set(order) == {"csv", "dat"}:
+            assert not field._held  # the text one writer left was taken by the other
+
+    def test_each_value_formatted_once(self, case, monkeypatch):
+        # every number goes through textfmt's formatters; writing both files
+        # formats the n_x n_p values and the two axes once each
+        formatted = []
+        float_strings, fill = textfmt.float_strings, textfmt.fill
+        monkeypatch.setattr(textfmt, "float_strings",
+                            lambda values: formatted.append(np.size(values)) or float_strings(values))
+        monkeypatch.setattr(textfmt, "fill",
+                            lambda template, values: formatted.append(np.size(values))
+                            or fill(template, values))
+        source, want = case
+        field = PhaseSpaceField(source.grid, source.values)
+        assert (field.to_csv(), field.to_gnuplot_matrix()) == (want["csv"], want["dat"])
+        n_x, n_p = field.values.shape
+        assert sum(formatted) == n_x * n_p + n_x + n_p
 
 
 class TestSymmetryAndLobes:
