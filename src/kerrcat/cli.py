@@ -77,7 +77,7 @@ def _has_type(value, kind) -> bool:
         return isinstance(value, list) and all(_has_type(v, float) for v in value)
     if kind is float:  # the bound also fails NaN and integers too large for a float
         return _has_type(value, numbers.Real) and abs(value) <= sys.float_info.max
-    if kind is int:  # numpy and scipy take integers only up to int64
+    if kind is int:  # numpy takes integers only up to int64
         return isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63
     return isinstance(value, kind) and not isinstance(value, bool)  # true is not a number
 
@@ -147,7 +147,12 @@ class ExperimentConfig:
                 setattr(self, f.name, value)
             if not (_has_type(value, kind) or value is None and f.default is None):
                 raise ValueError(f"field {f.name!r}: expected {_kind_name(kind)}, got {value!r}")
-        self.spec()  # raises on bad fields
+        if self.l < 1:
+            raise ValueError(f"field 'l': must be a positive integer, got {self.l}")
+        if not 0 <= self.h < self.l:
+            raise ValueError(f"field 'h': must lie in 0..l-1, got {self.h} for l = {self.l}")
+        if self.nu < 0:
+            raise ValueError(f"field 'nu': must be nonnegative, got {self.nu}")
         if self.chi <= 0:
             raise ValueError("field 'chi': must be positive")
         if not 0 <= self.t_start < self.t_stop <= 1:
@@ -168,7 +173,10 @@ class ExperimentConfig:
         if (self.entropy_zeta is None) != (self.entropy_eta is None):
             raise ValueError("fields 'entropy_zeta'/'entropy_eta': set both or neither")
         if self.entropy_zeta is not None:
-            RenyiPair(self.entropy_zeta, self.entropy_eta)
+            try:
+                RenyiPair(self.entropy_zeta, self.entropy_eta)
+            except ValueError as exc:
+                raise ValueError(f"fields 'entropy_zeta'/'entropy_eta': {exc}") from None
         for t in self.wigner_times:
             if not 0 <= t <= 1:
                 raise ValueError("field 'wigner_times': entries must lie in [0, 1]")
@@ -180,9 +188,17 @@ class ExperimentConfig:
         return SuperpositionSpec(self.l, self.h, self.nu, self.theta)
 
 
+# characters encoded per write: the slice and its bytes are the only copies of
+# the text, about 1 MB together, where encoding all of a 9.5 MB portrait CSV at
+# once would add 9.5 MB
+_WRITE_SLICE = 1 << 19
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as out:
+        for lo in range(0, len(text), _WRITE_SLICE):
+            out.write(text[lo:lo + _WRITE_SLICE])
     print(f"wrote {path}")
 
 

@@ -4,7 +4,8 @@ Wavefunctions are assembled from the harmonic-oscillator eigenfunctions
 phi_n(x) consistent with x = (a + a^dag)/sqrt(2); the momentum wavefunction
 uses the exact identity phi(p) = sum_n c_n (-i)^n phi_n(p) instead of a
 numerical Fourier transform.  `position_wavefunction` is also the psi of
-`wigner.wigner_field`.  Entropies use composite Simpson quadrature.
+`wigner.wigner_field`.  Entropies use composite Simpson quadrature, one fixed
+weight vector on a uniform grid with an odd point count.
 
 `entropy_series` projects only the support rows of the state (the n with
 c_n != 0, about 1/l of them for an l-cat), one real matrix product per block
@@ -25,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import xlogy
 
 from .evolution import KerrParams, TimeGrid, TimeSeries, evolve_amplitudes
 from .states import FockState, SuperpositionSpec, mean_photon_number, superposed_state, truncation_dim
@@ -69,7 +68,10 @@ class RenyiPair:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Probability density sampled on a uniform 1-D grid."""
+    """Probability density sampled on a uniform 1-D grid with an odd point count.
+
+    Those are the grids the fixed Simpson weights integrate; others raise.
+    """
 
     grid: np.ndarray
     values: np.ndarray
@@ -79,13 +81,16 @@ class DensityProfile:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if g.shape != v.shape or g.ndim != 1 or g.size < 3:
             raise ValueError("grid and values must be matching 1-D arrays")
+        steps = np.diff(g)
+        if g.size % 2 == 0 or steps[0] == 0 or np.ptp(steps) > 1e-9 * abs(steps[0]):
+            raise ValueError("grid must be uniform with an odd point count for Simpson's rule")
         if np.any(v < -1e-14):
             raise ValueError("density values must be nonnegative")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", np.maximum(v, 0.0))
 
     def total(self) -> float:
-        return float(simpson(self.values, x=self.grid))
+        return float(self.values @ _simpson_weights(self.grid))
 
 
 def uniform_grid(span: float, step: float = DEFAULT_GRID_STEP) -> np.ndarray:
@@ -149,8 +154,8 @@ def renyi_entropy(density: DensityProfile, order: float) -> float:
     """
     if order <= 0:
         raise ValueError("order must be positive")
-    return float(_renyi_on_rows(density.values.copy(),
-                                lambda f: simpson(f, x=density.grid, axis=-1), order))
+    weights = _simpson_weights(density.grid)
+    return float(_renyi_on_rows(density.values.copy(), lambda f: f @ weights, order))
 
 
 def renyi_bound(pair: RenyiPair) -> float:
@@ -176,8 +181,9 @@ def _renyi_on_rows(densities: np.ndarray, integrate, order: float) -> np.ndarray
 
     Overwrites `densities` with the integrand.
     """
-    if abs(order - 1.0) < 1e-12:
-        return -integrate(xlogy(densities, densities, out=densities))
+    if abs(order - 1.0) < 1e-12:  # f ln f, taken as 0 where f = 0
+        logs = np.log(densities, out=np.zeros_like(densities), where=densities > 0)
+        return -integrate(np.multiply(logs, densities, out=densities))
     return np.log(integrate(np.power(densities, order, out=densities))) / (1.0 - order)
 
 

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .evolution import TimeSeries
 
@@ -54,6 +53,9 @@ _BURST_REL_FLOOR = 1e-6
 _SCALE_FLOOR = 1e-10
 _BURST_MERGE_GAP = 10
 _MINIMA_PROMINENCE = 0.05
+# peaks a prominence walk steps over before binary lifting finishes it; the walks
+# on the benchmark's entropy series all end within 6
+_WALK_PEAKS = 8
 _DIP_SMOOTH = 5
 _DIP_DEPTH = 0.15
 _DIP_MERGE_GAP = 8
@@ -98,15 +100,89 @@ def _centroids(axis: np.ndarray, flagged: np.ndarray, weight, gap: int) -> list[
     return out
 
 
-def _kept(centers: list[float], series: TimeSeries, min_gap: float) -> list[float]:
-    """Sorted centers inside the grid, off the whole revivals, each over `min_gap` past the last."""
+def _kept(centers: list[float], series: TimeSeries, gap_steps: float) -> list[float]:
+    """Sorted centers inside the grid, off the whole revivals, each over `gap_steps` grid steps
+    past the last."""
     fractions, step = series.grid.fractions, series.grid.step
+    lo, hi, min_gap = float(fractions[0]) - step / 2, float(fractions[-1]) + step / 2, gap_steps * step
     kept: list[float] = []
-    for c in sorted(c for c in centers if fractions[0] - step / 2 <= c <= fractions[-1] + step / 2
-                    and abs(c - round(c)) > 2 * step):
-        if not kept or c - kept[-1] > min_gap:
+    for c in sorted(centers):
+        if lo <= c <= hi and abs(c - round(c)) > 2 * step and (not kept or c - kept[-1] > min_gap):
             kept.append(c)
     return kept
+
+
+def _prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of x whose prominence reaches `prominence`.
+
+    The rules of `scipy.signal.find_peaks`: a peak is a run of equal samples
+    with a lower sample on each side, indexed at its midpoint (rounded down).
+    Its prominence is its height above the higher of the two minima between
+    it and the nearest strictly higher peak on each side, or the end of x: a
+    higher sample nearer than that peak would lie on the flank of a higher
+    peak nearer still.  So each side of each peak walks outwards over the
+    peaks, a gap and then a peak at a time, keeping the least gap crossed,
+    until that gap lies `prominence` below the peak or a higher peak stops
+    the walk.  All walks step together; the few still going after
+    `_WALK_PEAKS` peaks (shallow ripples on a slow trend) finish in
+    `_finish_walks`.
+    """
+    slopes = np.diff(x)
+    steps = np.flatnonzero(slopes)
+    rising = slopes[steps] > 0
+    turns = np.flatnonzero(rising[:-1] & ~rising[1:])
+    peaks = (steps[turns] + 1 + steps[turns + 1]) // 2
+    count = peaks.size
+    # nodes 1..count are the peaks and nodes 0 and count + 1 the ends of x, which
+    # stop every walk; gaps[a] is the least x from node a up to node a + 1
+    nodes = np.concatenate([[np.inf], x[peaks], [np.inf]])
+    gaps = np.minimum.reduceat(x, np.concatenate([[0], peaks]))
+    # walk k < count is the left side of peak k (node k + 1), walk count + k its right side
+    move = np.repeat([-1, 1], count)
+    at = np.tile(np.arange(1, count + 1), 2)
+    height = nodes[at]
+    least = np.full(2 * count, np.inf)
+    live = np.arange(2 * count)
+    for _ in range(_WALK_PEAKS):
+        if not live.size:
+            break
+        least[live] = np.minimum(least[live], gaps[at[live] - (move[live] < 0)])
+        live = live[height[live] - least[live] < prominence]
+        at[live] += move[live]
+        live = live[nodes[at[live]] <= height[live]]
+    if live.size:
+        _finish_walks(nodes, gaps, at, move, height, least, live)
+    # h - max(left, right) >= p exactly when both h - left >= p and h - right >= p
+    clear = height - least >= prominence
+    return peaks[clear[:count] & clear[count:]]
+
+
+def _finish_walks(nodes, gaps, at, move, height, least, live) -> None:
+    """Fold into `least` the gaps from node `at` on to the nearest higher node, for the `live` walks.
+
+    Binary lifting: the walk's end passes each run of 2^j nodes no higher
+    than its peak, largest runs first, over a table of the largest node and
+    the least gap in every run of 2^j; the least gap of the range then comes
+    from two runs that cover it.
+    """
+    levels = nodes.size.bit_length()
+    pad = 1 << (levels - 1)  # inf columns on both sides keep every run inside the table
+    table = np.full((levels, 2, nodes.size + 2 * pad), np.inf)
+    table[0, 0, pad:pad + nodes.size] = nodes
+    table[0, 1, pad:pad + gaps.size] = -gaps  # one maximum builds both rows
+    for j in range(1, levels):
+        w = 1 << (j - 1)
+        np.maximum(table[j - 1, :, :-w], table[j - 1, :, w:], out=table[j, :, :-w])
+    start, step, height = at[live] + pad, move[live], height[live]
+    end = start.copy()
+    for j in range(levels - 1, -1, -1):
+        probe = np.where(step < 0, end - (1 << j), end + 1)
+        end += step * (1 << j) * (table[j, 0].take(probe) <= height)
+    first = np.where(step < 0, end - 1, start)
+    last = np.where(step < 0, start - 1, end)
+    j = np.frexp(last - first + 1)[1] - 1
+    bound = np.maximum(table[j, 1, first], table[j, 1, last - (1 << j) + 1])
+    least[live] = np.minimum(least[live], -bound)
 
 
 def detect_bursts(series: TimeSeries) -> list[float]:
@@ -122,15 +198,15 @@ def detect_bursts(series: TimeSeries) -> list[float]:
     dev_ext, axis, _ = _reflected(dev, series.grid.fractions)
     centers = _centroids(axis, np.abs(dev_ext) > threshold, lambda seg: np.abs(dev_ext[seg]),
                          _BURST_MERGE_GAP)
-    return _kept(centers, series, series.grid.step)
+    return _kept(centers, series, 1.0)
 
 
 def detect_minima(series: TimeSeries) -> list[float]:
     """Sample times of the prominent local minima below the series median."""
     vals_ext, axis, _ = _reflected(series.values, series.grid.fractions)
-    peaks = find_peaks(-vals_ext, prominence=_MINIMA_PROMINENCE)[0]
+    peaks = _prominent_peaks(-vals_ext, _MINIMA_PROMINENCE)
     below = peaks[vals_ext[peaks] < np.median(series.values)]
-    return _kept([float(axis[p]) for p in below], series, series.grid.step / 2)
+    return _kept(axis[below].tolist(), series, 0.5)
 
 
 def detect_dips(series: TimeSeries) -> list[float]:
@@ -140,7 +216,7 @@ def detect_dips(series: TimeSeries) -> list[float]:
     baseline = float(np.median(smooth[pad: pad + series.values.size]))
     centers = _centroids(axis, smooth < baseline - _DIP_DEPTH, lambda seg: baseline - smooth[seg],
                          _DIP_MERGE_GAP)
-    return _kept(centers, series, series.grid.step / 2)
+    return _kept(centers, series, 0.5)
 
 
 @dataclass

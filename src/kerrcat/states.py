@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
 
 DEFAULT_PHASE = np.pi / 4  # alpha phase used for every study in this package
 TRUNCATION_EPS = 1e-12
@@ -104,9 +102,35 @@ def truncation_dim(nu: float, eps: float = TRUNCATION_EPS) -> int:
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     n = int(math.ceil(nu + 12.0 * math.sqrt(nu + 1.0) + 20.0))
-    while poisson.sf(n, nu) >= eps:
+    while _poisson_tail(n, nu) >= eps:
         n = int(math.ceil(1.2 * n)) + 10
     return n
+
+
+def _poisson_tail(n: int, nu: float) -> float:
+    """P(N > n) for N ~ Poisson(nu), summed term by term above n.
+
+    Summing the tail avoids the cancellation of 1 - cdf.  Each term comes from
+    its logarithm, so terms that underflow before the mode do not stop the sum;
+    it ends past the mode, where the terms fall, once one adds nothing.
+    """
+    if nu == 0:
+        return 0.0
+    total = 0.0
+    k = n + 1
+    log_term = -nu + k * math.log(nu) - math.lgamma(k + 1.0)
+    while True:
+        term = math.exp(log_term)
+        total += term
+        if k > nu and term <= 1e-17 * total:
+            return total
+        k += 1
+        log_term += math.log(nu / k)
+
+
+def _log_factorial(n: np.ndarray) -> np.ndarray:
+    """ln(n!) for each entry of the integer array n."""
+    return np.array([math.lgamma(k + 1.0) for k in n.tolist()])
 
 
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
@@ -121,7 +145,7 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
         amp = np.zeros(n_max + 1, dtype=np.complex128)
         amp[0] = 1.0
         return amp
-    log_mag = -nu / 2 + n * math.log(abs(alpha)) - gammaln(n + 1) / 2
+    log_mag = -nu / 2 + n * math.log(abs(alpha)) - _log_factorial(n) / 2
     amp = np.exp(log_mag + 1j * n * np.angle(alpha))
     amp[np.abs(amp) < _AMPLITUDE_FLOOR] = 0.0
     return amp
@@ -162,7 +186,7 @@ def superposed_state(spec: SuperpositionSpec, n_max: int | None = None) -> FockS
     if spec.nu == 0:
         amp[spec.h] = 1.0  # alpha -> 0 limit keeps the leading progression term
         return FockState(amp)
-    log_mag = -spec.nu / 2 + m * math.log(math.sqrt(spec.nu)) - gammaln(m + 1) / 2
+    log_mag = -spec.nu / 2 + m * math.log(math.sqrt(spec.nu)) - _log_factorial(m) / 2
     log_mag -= log_mag.max()  # else a tiny-nu cat (h > 0) underflows to 0 in the norm
     amp[m] = np.exp(log_mag + 1j * m * spec.theta)
     amp = amp / np.linalg.norm(amp)

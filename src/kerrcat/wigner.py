@@ -28,6 +28,12 @@ the coherent-sum closed form to 2e-15.
 A field's two files, an x-major 'x,p,W' CSV and a gnuplot nonuniform matrix,
 come from one formatting pass (`textfmt.portrait_tables`); the writer called
 first holds the other text on the field until the other writer takes it.
+
+`count_lobes` blurs W with a Gaussian of width 1/2 in x and p, as two banded
+matrices with reflecting edges (the taps and the edge rule of
+`scipy.ndimage.gaussian_filter`, truncated at 4 sigma), and counts the
+4-connected regions above half the blurred maximum, numbered in raster order
+as `scipy.ndimage.label` numbers them.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .entropy import position_wavefunction
 from .states import FockState, mean_photon_number
@@ -174,6 +179,53 @@ def wigner_field(state: FockState, grid: PhaseSpaceGrid | None = None) -> PhaseS
     return PhaseSpaceField(grid, values)
 
 
+def _blur_matrix(n: int, sigma: float) -> np.ndarray:
+    """(n, n) matrix of a 1-D Gaussian blur of sigma samples, truncated at 4 sigma.
+
+    An edge reflects the signal about its outer half-sample (d c b a | a b c d),
+    as often as the taps need, so every row sums to 1.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    taps = np.exp(-0.5 / (sigma * sigma) * offsets**2)
+    taps /= taps.sum()
+    cols = (np.arange(n)[:, None] + offsets) % (2 * n)
+    cols = np.where(cols < n, cols, 2 * n - 1 - cols)
+    flat = (np.arange(n)[:, None] * n + cols).ravel()
+    return np.bincount(flat, np.tile(taps, n), minlength=n * n).reshape(n, n)
+
+
+def _label_regions(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected regions of a boolean image, labelled 1.. in raster order of their first pixel.
+
+    Each row splits into runs of set pixels; a run joins every run of the row
+    above whose columns overlap it.  The runs and their overlaps come from
+    whole-image operations, and a union-find over the runs merges them.
+    """
+    n_cols = mask.shape[1] + 1  # one separator column keeps runs inside their rows
+    flips = np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False))
+    starts, stops = flips[0::2], flips[1::2]  # run [start, stop) at flat position row * n_cols + col
+    # runs of the row above that overlap run b: stop > start_b - n_cols and start < stop_b - n_cols
+    first = np.searchsorted(stops, starts - n_cols, side="right")
+    counts = np.maximum(np.searchsorted(starts, stops - n_cols) - first, 0)
+    below = np.repeat(np.arange(starts.size), counts)
+    above = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(below.size)
+    root = list(range(starts.size))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for a, b in zip(above.tolist(), below.tolist()):
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)  # a region's root is its first run in raster order
+    firsts, run_labels = np.unique([find(i) for i in range(starts.size)], return_inverse=True)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[mask] = np.repeat(run_labels + 1, stops - starts)
+    return labels, firsts.size
+
+
 def _lobe_labels(field: PhaseSpaceField):
     """Coarse-grained W, its lobe labels and the lobe count.
 
@@ -184,8 +236,9 @@ def _lobe_labels(field: PhaseSpaceField):
     sit on a circle of radius >> 1.
     """
     cx, cp = field.grid.cell
-    smooth = ndimage.gaussian_filter(field.values, sigma=(_LOBE_BLUR / cx, _LOBE_BLUR / cp))
-    labels, count = ndimage.label(smooth > _LOBE_LEVEL * smooth.max())
+    smooth = (_blur_matrix(field.grid.n_x, _LOBE_BLUR / cx) @ field.values
+              @ _blur_matrix(field.grid.n_p, _LOBE_BLUR / cp).T)
+    labels, count = _label_regions(smooth > _LOBE_LEVEL * smooth.max())
     return smooth, labels, count
 
 

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kerrcat
 from kerrcat import cli
 from kerrcat.cli import ExperimentConfig, run_custom, run_figure, run_validate
 
@@ -227,6 +233,22 @@ class TestMain:
         assert err.startswith(f"error: field '{field}': {message}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"l": 0}, "field 'l': must be a positive integer"),
+        ({"l": 2, "h": 2}, "field 'h': must lie in 0..l-1"),
+        ({"h": -1}, "field 'h': must lie in 0..l-1"),
+        ({"nu": -1.0}, "field 'nu': must be nonnegative"),
+        ({"entropy_zeta": 0.7, "entropy_eta": 3.0},
+         "fields 'entropy_zeta'/'entropy_eta': pair must satisfy 1/zeta + 1/eta = 2"),
+        ({"entropy_zeta": -0.5, "entropy_eta": 0.25},
+         "fields 'entropy_zeta'/'entropy_eta': orders must be positive"),
+    ], ids=["l", "h-above", "h-below", "nu", "pair", "negative-order"])
+    def test_custom_bad_values_name_the_field(self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path / "bad.json", **overrides)
+        assert cli.main(["custom", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_custom_integral_floats_taken_as_integers(self, tmp_path, capsys):
         path = write_config(tmp_path / "floats.json", l=2.0, t_points=41.0, n_max=80.0,
                             moment_powers=[2.0])
@@ -236,3 +258,43 @@ class TestMain:
 
     def test_validate_passes(self):
         assert run_validate() == 0
+
+
+def test_write_encodes_in_slices(tmp_path):
+    # a 9.6 MB portrait-sized text: encoding all of it at once would peak 9.6 MB above it
+    text = "-0.12345678901234567,3.4567890123456789,1.2345678901234567e-17\n" * 150_000
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli._write(path, text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert path.read_bytes() == text.encode()
+
+
+def test_no_scipy_on_the_run_path(tmp_path):
+    # a fresh interpreter imports the package and runs each kind of request:
+    # validate (moments, bursts, entropy, Wigner fields and lobes), a portrait
+    # and a Renyi figure through the writer, and the minima and dip detectors
+    script = f"""
+import sys
+import kerrcat, kerrcat.cli
+from kerrcat import (KerrParams, RenyiPair, SuperpositionSpec, TimeGrid, detect_dips, detect_minima,
+                     entropy_series)
+from kerrcat.cli import main
+assert main(["validate"]) == 0
+for argv in (["figure", "fig1", "--grid-points", "61"], ["figure", "fig3", "--grid-points", "101"]):
+    assert main(argv + ["--out-dir", {str(tmp_path)!r}]) == 0
+series = entropy_series(SuperpositionSpec(2, 0, 10.0), KerrParams(1.0), TimeGrid.uniform(201, 0, 0.5),
+                        RenyiPair(2 / 3, 2.0))
+detect_minima(series), detect_dips(series)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(kerrcat.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

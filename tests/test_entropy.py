@@ -23,7 +23,7 @@ from kerrcat import (
     renyi_uncertainty_sum,
     superposed_state,
 )
-from kerrcat.entropy import default_grid_for, oscillator_basis, uniform_grid
+from kerrcat.entropy import _simpson_weights, default_grid_for, oscillator_basis, uniform_grid
 
 PARAMS = KerrParams(1.0)
 T_REV = PARAMS.t_rev
@@ -116,6 +116,39 @@ class TestRenyiEntropy:
         with pytest.raises(ValueError):
             renyi_entropy(d, 0.0)
 
+    def test_shannon_takes_zero_density_as_zero(self):
+        # f ln f -> 0 as f -> 0, as scipy's xlogy has it
+        from scipy.special import xlogy
+
+        grid = np.linspace(-1.0, 1.0, 11)
+        values = np.array([0, 0, 0.1, 0.5, 0.9, 1.2, 0.9, 0.5, 0.1, 0, 0], dtype=float)
+        shannon = -simpson(xlogy(values, values), x=grid)
+        assert renyi_entropy(DensityProfile(grid, values), 1.0) == pytest.approx(shannon, abs=1e-15)
+
+
+class TestSimpsonWeights:
+    @pytest.mark.parametrize("points", [3, 5, 11, 2001, 3601])
+    def test_match_scipy_simpson(self, points):
+        # scipy's composite Simpson rule as an independent oracle
+        x = np.linspace(-7.3, 5.1, points)
+        f = np.exp(-0.5 * x * x) * (1.0 + 0.3 * np.cos(5.0 * x))
+        assert f @ _simpson_weights(x) == pytest.approx(simpson(f, x=x), rel=1e-14, abs=0)
+
+    def test_density_total_matches_scipy_simpson(self):
+        d = position_density(coherent_state(3.0))
+        assert d.total() == pytest.approx(simpson(d.values, x=d.grid), rel=1e-14, abs=0)
+        assert d.total() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 1.0, 10),                      # even point count
+        np.array([0.0, 0.1, 0.3, 0.4, 0.5]),            # uneven spacing
+        np.concatenate([np.linspace(0.0, 1.0, 11)[:-1], [1.001]]),
+        np.zeros(5),                                    # no spacing
+    ], ids=["even-count", "uneven", "last-step-off", "zero-step"])
+    def test_density_profile_rejects_grids_simpson_cannot_take(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            DensityProfile(grid, np.ones_like(grid))
+
 
 class TestRenyiPair:
     def test_conjugate_constraint(self):
@@ -202,7 +235,8 @@ class TestEntropySeries:
                              ids=["2/3-2", "0.6-3", "shannon"])
     @pytest.mark.parametrize("l, h", [(1, 0), (2, 0), (3, 0), (3, 1)])
     def test_matches_per_state_sums(self, l, h, pair):
-        # independent route: one evolved state at a time, complex projection, scipy's simpson
+        # independent route: one evolved state at a time, complex projection (the
+        # Simpson weights both routes share are checked against scipy's simpson above)
         spec = SuperpositionSpec(l, h, 12.0)
         for grid in self.CROSS_GRIDS:
             series = entropy_series(spec, PARAMS, grid, pair)

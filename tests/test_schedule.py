@@ -18,7 +18,10 @@ from kerrcat import (
     visible_burst_times,
 )
 from kerrcat.evolution import evolve_amplitudes
+from kerrcat.entropy import RenyiPair, entropy_series
 from kerrcat.moments import _quadrature_moment, apply_position
+from kerrcat import schedule
+from kerrcat.schedule import _kept, _prominent_peaks, _reflected
 
 PARAMS = KerrParams(1.0)
 F = Fraction
@@ -160,6 +163,75 @@ class TestDetectMinima:
         found = detect_minima(series_from(vals))
         for want in (0.25, 0.75):
             assert min(abs(f - want) for f in found) < 2e-3
+
+
+class TestMinimaAgainstFindPeaks:
+    """`scipy.signal.find_peaks` as an independent oracle of the peak and prominence rules."""
+
+    @staticmethod
+    def scipy_minima(series):
+        # detect_minima with find_peaks in place of _prominent_peaks
+        from scipy.signal import find_peaks
+
+        vals_ext, axis, _ = _reflected(series.values, series.grid.fractions)
+        peaks = find_peaks(-vals_ext, prominence=0.05)[0]
+        below = peaks[vals_ext[peaks] < np.median(series.values)]
+        return _kept([float(axis[p]) for p in below], series, 0.5)
+
+    def test_peaks_with_plateaus_and_ties(self):
+        from scipy.signal import find_peaks
+
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            # few levels, so runs of equal samples and equal heights abound
+            x = rng.integers(0, 5, int(rng.integers(1, 80))) / 4.0
+            for prominence in (0.0, 0.05, 0.25, 0.5, 1.0):
+                want = find_peaks(x, prominence=prominence)[0]
+                np.testing.assert_array_equal(_prominent_peaks(x, prominence), want)
+
+    def test_peaks_of_a_rough_walk(self):
+        from scipy.signal import find_peaks
+
+        x = np.cumsum(np.random.default_rng(6).standard_normal(5000))
+        for prominence in (0.05, 1.0, 10.0):
+            np.testing.assert_array_equal(_prominent_peaks(x, prominence),
+                                          find_peaks(x, prominence=prominence)[0])
+
+    def test_long_walks_finish_by_lifting(self, monkeypatch):
+        # ripples of 0.002 on a trend of 0.04: every walk toward lower ground
+        # passes hundreds of peaks before its gaps fall 0.05 below it
+        from scipy.signal import find_peaks
+
+        finished = []
+        original = schedule._finish_walks
+        monkeypatch.setattr(schedule, "_finish_walks",
+                            lambda *args: finished.append(args[-1].size) or original(*args))
+        t = np.linspace(0.0, 1.0, 3001)
+        for x in (0.04 * t + 0.001 * np.sin(2 * np.pi * 500 * t),
+                  0.3 * np.cos(2 * np.pi * t) + 0.01 * np.sin(2 * np.pi * 400 * t)):
+            for prominence in (0.05, 0.2):
+                np.testing.assert_array_equal(_prominent_peaks(x, prominence),
+                                              find_peaks(x, prominence=prominence)[0])
+        assert finished and max(finished) > 100
+
+    @pytest.mark.parametrize("shape", ["plateaus", "ties", "ends", "ripples"])
+    def test_detect_minima_matches(self, shape):
+        t = np.linspace(0.0, 0.5, 1001)
+        if shape == "plateaus":  # flat-bottomed minima, rounded to a few levels
+            vals = np.round(4.0 - np.cos(2 * np.pi * 9 * t) ** 8 * 0.5, 1)
+        elif shape == "ties":  # equal minima of equal depth
+            vals = 3.0 + np.abs(np.sin(2 * np.pi * 7 * t))
+        elif shape == "ends":  # the deepest minima on the first and last samples
+            vals = 2.0 + 0.4 * np.cos(2 * np.pi * 10 * t) * np.cos(2 * np.pi * t) + 0.1 * np.sin(97 * t)
+        else:  # an entropy sum with its ripples
+            spec = SuperpositionSpec(2, 0, 25.0)
+            series = entropy_series(spec, PARAMS, TimeGrid.uniform(1001, 0.0, 0.5),
+                                    RenyiPair(2 / 3, 2.0))
+            vals = series.values
+        series = series_from(vals, 0.0, 0.5)
+        found = detect_minima(series)
+        assert found == self.scipy_minima(series)
+        assert found
 
 
 class TestDetectDips:

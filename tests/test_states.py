@@ -20,6 +20,7 @@ from kerrcat import (
     superposition_norm,
     truncation_dim,
 )
+from kerrcat.states import TRUNCATION_EPS, _log_factorial, _poisson_tail
 
 
 def number_moment(state, k):
@@ -216,6 +217,36 @@ class TestTruncationDim:
         from scipy.stats import poisson
 
         assert poisson.sf(truncation_dim(nu), nu) < 1e-12
+
+    @pytest.mark.parametrize("eps", [TRUNCATION_EPS, 1e-8])
+    def test_matches_scipy_poisson_rule(self, eps):
+        # the rule with scipy's survival function as an independent oracle
+        from scipy.stats import poisson
+
+        def oracle(nu):
+            n = int(math.ceil(nu + 12.0 * math.sqrt(nu + 1.0) + 20.0))
+            while poisson.sf(n, nu) >= eps:
+                n = int(math.ceil(1.2 * n)) + 10
+            return n
+
+        for nu in np.arange(0.0, 400.0 + 1e-9, 0.25):
+            assert truncation_dim(float(nu), eps) == oracle(float(nu)), nu
+
+    @pytest.mark.parametrize("nu", [0.5, 3.0, 20.0, 99.75, 400.0])
+    def test_poisson_tail_matches_scipy(self, nu):
+        from scipy.stats import poisson
+
+        for n in sorted({0, int(nu / 2), int(nu), int(nu + 3 * math.sqrt(nu)) + 1,
+                         truncation_dim(nu)}):
+            want = poisson.sf(n, nu)
+            assert _poisson_tail(n, nu) == pytest.approx(want, rel=1e-11, abs=1e-300), n
+        assert _poisson_tail(5, 0.0) == 0.0
+
+    def test_log_factorial_matches_scipy(self):
+        from scipy.special import gammaln
+
+        n = np.arange(2000)
+        np.testing.assert_allclose(_log_factorial(n), gammaln(n + 1), rtol=1e-15, atol=1e-15)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

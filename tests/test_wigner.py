@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from kerrcat import (
     wigner_field,
 )
 from kerrcat import textfmt
-from kerrcat.wigner import default_grid
+from kerrcat.wigner import _blur_matrix, _label_regions, _lobe_labels, default_grid
 from wigner_checks import lobe_peaks, rotation_symmetry_defect, wigner_marginals
 
 PARAMS = KerrParams(1.0)
@@ -288,3 +289,52 @@ class TestSymmetryAndLobes:
         for x, p, _ in peaks:
             off = min(max(abs(x - tx), abs(p - tp)) for tx, tp in targets)
             assert off <= cell
+
+
+class TestLobeLabelsAgainstNdimage:
+    """`scipy.ndimage` as an independent oracle of the blur and the region labels."""
+
+    @pytest.mark.parametrize("n,sigma",
+                             [(401, 8.85), (201, 4.4), (30, 3.7), (7, 6.2), (2, 3.0), (1, 2.0)])
+    def test_blur_matches_gaussian_filter(self, n, sigma):
+        # n = 7, 2 and 1 lie inside the 4 sigma reach, so the taps reflect more than once
+        from scipy import ndimage
+
+        values = np.random.default_rng(n).standard_normal((n, 5))
+        got = _blur_matrix(n, sigma) @ values
+        want = ndimage.gaussian_filter1d(values, sigma, axis=0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_labels_match_ndimage_label(self):
+        from scipy import ndimage
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            shape = tuple(int(k) for k in rng.integers(1, 24, 2))
+            mask = rng.random(shape) < rng.random()
+            labels, count = _label_regions(mask)
+            want, want_count = ndimage.label(mask)
+            assert count == want_count
+            np.testing.assert_array_equal(labels, want)
+
+    @pytest.mark.parametrize("l,nu,fraction,grid", [
+        (1, 20.0, 0.25, 401), (2, 20.0, 0.125, 201), (3, 20.0, 1 / 18, 201), (4, 30.0, 1 / 32, 201),
+        # 7 points a sixth apart: the 4 sigma reach of 12 samples reflects twice
+        (1, 0.5, 0.25, PhaseSpaceGrid.square(0.5, 7)),
+    ])
+    def test_portrait_labels_match(self, l, nu, fraction, grid):
+        from scipy import ndimage
+
+        state = evolve(superposed_state(SuperpositionSpec(l, 0, nu)), PARAMS, fraction * T_REV)
+        if isinstance(grid, int):
+            grid = default_grid(state, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridCoverageWarning)
+            field = wigner_field(state, grid)
+        smooth, labels, count = _lobe_labels(field)
+        cx, cp = field.grid.cell
+        want_smooth = ndimage.gaussian_filter(field.values, sigma=(0.5 / cx, 0.5 / cp))
+        np.testing.assert_allclose(smooth, want_smooth, rtol=0, atol=1e-15)
+        want, want_count = ndimage.label(want_smooth > 0.5 * want_smooth.max())
+        assert count == want_count
+        np.testing.assert_array_equal(labels, want)
