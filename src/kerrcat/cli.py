@@ -147,12 +147,11 @@ class ExperimentConfig:
                 setattr(self, f.name, value)
             if not (_has_type(value, kind) or value is None and f.default is None):
                 raise ValueError(f"field {f.name!r}: expected {_kind_name(kind)}, got {value!r}")
-        if self.l < 1:
-            raise ValueError(f"field 'l': must be a positive integer, got {self.l}")
-        if not 0 <= self.h < self.l:
-            raise ValueError(f"field 'h': must lie in 0..l-1, got {self.h} for l = {self.l}")
-        if self.nu < 0:
-            raise ValueError(f"field 'nu': must be nonnegative, got {self.nu}")
+        try:
+            self.spec()
+        except ValueError as exc:  # SuperpositionSpec's messages begin with the field's name
+            name, _, rule = str(exc).partition(" ")
+            raise ValueError(f"field {name!r}: {rule}") from None
         if self.chi <= 0:
             raise ValueError("field 'chi': must be positive")
         if not 0 <= self.t_start < self.t_stop <= 1:

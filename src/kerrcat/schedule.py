@@ -53,9 +53,6 @@ _BURST_REL_FLOOR = 1e-6
 _SCALE_FLOOR = 1e-10
 _BURST_MERGE_GAP = 10
 _MINIMA_PROMINENCE = 0.05
-# peaks a prominence walk steps over before binary lifting finishes it; the walks
-# on the benchmark's entropy series all end within 6
-_WALK_PEAKS = 8
 _DIP_SMOOTH = 5
 _DIP_DEPTH = 0.15
 _DIP_MERGE_GAP = 8
@@ -123,9 +120,7 @@ def _prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     peak nearer still.  So each side of each peak walks outwards over the
     peaks, a gap and then a peak at a time, keeping the least gap crossed,
     until that gap lies `prominence` below the peak or a higher peak stops
-    the walk.  All walks step together; the few still going after
-    `_WALK_PEAKS` peaks (shallow ripples on a slow trend) finish in
-    `_finish_walks`.
+    the walk.  All walks step together, one peak per numpy pass.
     """
     slopes = np.diff(x)
     steps = np.flatnonzero(slopes)
@@ -143,46 +138,14 @@ def _prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     height = nodes[at]
     least = np.full(2 * count, np.inf)
     live = np.arange(2 * count)
-    for _ in range(_WALK_PEAKS):
-        if not live.size:
-            break
+    while live.size:
         least[live] = np.minimum(least[live], gaps[at[live] - (move[live] < 0)])
         live = live[height[live] - least[live] < prominence]
         at[live] += move[live]
         live = live[nodes[at[live]] <= height[live]]
-    if live.size:
-        _finish_walks(nodes, gaps, at, move, height, least, live)
     # h - max(left, right) >= p exactly when both h - left >= p and h - right >= p
     clear = height - least >= prominence
     return peaks[clear[:count] & clear[count:]]
-
-
-def _finish_walks(nodes, gaps, at, move, height, least, live) -> None:
-    """Fold into `least` the gaps from node `at` on to the nearest higher node, for the `live` walks.
-
-    Binary lifting: the walk's end passes each run of 2^j nodes no higher
-    than its peak, largest runs first, over a table of the largest node and
-    the least gap in every run of 2^j; the least gap of the range then comes
-    from two runs that cover it.
-    """
-    levels = nodes.size.bit_length()
-    pad = 1 << (levels - 1)  # inf columns on both sides keep every run inside the table
-    table = np.full((levels, 2, nodes.size + 2 * pad), np.inf)
-    table[0, 0, pad:pad + nodes.size] = nodes
-    table[0, 1, pad:pad + gaps.size] = -gaps  # one maximum builds both rows
-    for j in range(1, levels):
-        w = 1 << (j - 1)
-        np.maximum(table[j - 1, :, :-w], table[j - 1, :, w:], out=table[j, :, :-w])
-    start, step, height = at[live] + pad, move[live], height[live]
-    end = start.copy()
-    for j in range(levels - 1, -1, -1):
-        probe = np.where(step < 0, end - (1 << j), end + 1)
-        end += step * (1 << j) * (table[j, 0].take(probe) <= height)
-    first = np.where(step < 0, end - 1, start)
-    last = np.where(step < 0, start - 1, end)
-    j = np.frexp(last - first + 1)[1] - 1
-    bound = np.maximum(table[j, 1, first], table[j, 1, last - (1 << j) + 1])
-    least[live] = np.minimum(least[live], -bound)
 
 
 def detect_bursts(series: TimeSeries) -> list[float]:

@@ -74,6 +74,7 @@ class SuperpositionSpec:
     theta: float = DEFAULT_PHASE
 
     def __post_init__(self):
+        # each message begins with the name of the field it rejects; the CLI's config check relies on it
         if int(self.l) != self.l or self.l < 1:
             raise ValueError("l must be a positive integer")
         if int(self.h) != self.h or not 0 <= self.h < self.l:

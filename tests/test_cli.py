@@ -235,8 +235,8 @@ class TestMain:
 
     @pytest.mark.parametrize("overrides,message", [
         ({"l": 0}, "field 'l': must be a positive integer"),
-        ({"l": 2, "h": 2}, "field 'h': must lie in 0..l-1"),
-        ({"h": -1}, "field 'h': must lie in 0..l-1"),
+        ({"l": 2, "h": 2}, "field 'h': must be an integer in 0..l-1"),
+        ({"h": -1}, "field 'h': must be an integer in 0..l-1"),
         ({"nu": -1.0}, "field 'nu': must be nonnegative"),
         ({"entropy_zeta": 0.7, "entropy_eta": 3.0},
          "fields 'entropy_zeta'/'entropy_eta': pair must satisfy 1/zeta + 1/eta = 2"),
