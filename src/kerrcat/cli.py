@@ -385,8 +385,9 @@ def _validate_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
 
     def entropy_sums():
         worst = 0.0
-        for (l, h), pair in zip([(1, 0), (2, 0), (3, 0), (3, 1)],
-                                [RenyiPair(2 / 3, 2.0), RenyiPair(1.0, 1.0),
+        # (2, 0) and (2, 1) have one parity (even, odd) and fold x < 0 onto x >= 0
+        for (l, h), pair in zip([(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)],
+                                [RenyiPair(2 / 3, 2.0), RenyiPair(1.0, 1.0), RenyiPair(0.8, 4 / 3),
                                  RenyiPair(0.6, 3.0), RenyiPair(0.75, 1.5)]):
             spec = SuperpositionSpec(l, h, 40.0)
             fracs = np.unique(np.concatenate([rng.uniform(0.0, 1.0, 4),

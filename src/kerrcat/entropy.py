@@ -8,9 +8,10 @@ numerical Fourier transform.  `position_wavefunction` is also the psi of
 weight vector on a uniform grid with an odd point count.
 
 `entropy_series` projects only the support rows of the state (the n with
-c_n != 0, about 1/l of them for an l-cat), one real matrix product per block
-of time rows, and integrates with a fixed Simpson weight vector: its grid is
-always `default_grid_for(state)`, uniform with an odd point count.
+c_n != 0, about 1/l of them for an l-cat) on the x >= 0 half of its grid,
+`default_grid_for(state)`: phi_n has the parity of n there, so one real matrix
+product per parity group and block of 16 time rows gives psi and phi on both
+halves.  A fixed Simpson weight vector integrates them.
 
 The conjugate-pair entropy sum obeys
 
@@ -39,9 +40,10 @@ from .states import FockState, SuperpositionSpec, mean_photon_number, superposed
 # off by as much there (1.4e-5 at the 2-cat, nu = 35, T_rev/12).
 DEFAULT_GRID_STEP = 0.005
 DEFAULT_GRID_PAD = 6.0
-# time rows per projection block: the product and density tables stay a few MB;
-# 32 rows ran faster than 16, 64, 128 and 256 on the benchmark's entropy series
-_BLOCK_ROWS = 32
+# time rows per projection block: the 4 x 16 rows of a product table over the
+# x >= 0 half (1.5 MB at nu = 35) fit a 2 MiB L2; on the benchmark's entropy
+# series 16 rows ran faster than 8, 12, 24 and 32
+_BLOCK_ROWS = 16
 # (-i)^n indexed by n mod 4; numpy forms (-1j) ** n through exp/log for n >= 100
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 
@@ -54,6 +56,8 @@ class RenyiPair:
     eta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.zeta) and math.isfinite(self.eta)):
+            raise ValueError("orders must be finite")
         if self.zeta <= 0 or self.eta <= 0:
             raise ValueError("orders must be positive")
         if abs(1.0 / self.zeta + 1.0 / self.eta - 2.0) > 1e-12:
@@ -204,35 +208,60 @@ def entropy_series(
 ) -> TimeSeries:
     """Entropy-sum time series for an evolved superposition.
 
-    The densities live on `default_grid_for(state)`.  Only the support rows n
-    (c_n != 0) are kept: the table phi_n(x) of those rows is built once, and
-    each block of time rows c is projected by one real matrix product of
-    [Re c; Im c; Re c'; Im c'], c' = c (-i)^n, against it.  The squared rows
-    add up to rho = |psi|^2 and gamma = |phi|^2, which the Simpson weight
-    vector integrates.
+    The densities live on `default_grid_for(state)`, symmetric with 2k + 1
+    points.  Since phi_n(-x) = (-1)^n phi_n(x), psi(+-x) = E(x) +- O(x) on
+    its x >= 0 half x[k:], where E and O sum the even and the odd support rows
+    (c_n != 0); phi(+-p) splits alike with c'_n = c_n (-i)^n.  For each block
+    of time rows c, each parity group takes one real matrix product of
+    [Re c; Re c'; Im c; Im c'] with its rows of the half table.  The squared
+    rows of [E + O | E - O] add up to rho = |psi|^2 and gamma = |phi|^2, and
+    the full grid's Simpson weights on x[k:] integrate both halves, the x = 0
+    column of the mirrored one at weight 0.  A support of one parity (every
+    even-l cat) has rho(-x) = rho(x): only the x >= 0 half is formed, at
+    folded weights 2w (w at x = 0).
     """
     if n_max is None:
         n_max = truncation_dim(spec.nu)
     state = superposed_state(spec, n_max)
     x = default_grid_for(state)
+    k = x.size // 2
     n = np.flatnonzero(state.amplitudes)
-    basis = oscillator_basis(n_max, x)[n]
-    to_momentum = _MINUS_I_POWERS[n % 4]
-    weights = _simpson_weights(x)
+    groups = [g for g in (n[n % 2 == 0], n[n % 2 == 1]) if g.size]
+    half = oscillator_basis(n_max, x[k:])
+    bases = [half[g] for g in groups]
+    del half
+    to_momentum = [_MINUS_I_POWERS[g % 4] for g in groups]
+    w = _simpson_weights(x)[k:]
+    if len(groups) == 1:
+        weights = 2.0 * w
+        weights[0] = w[0]
+    else:
+        weights = np.concatenate([w, w])
+        weights[k + 1] = 0.0
 
     def integrate(f):
         return f @ weights
 
     times = grid.times(params)
     values = np.empty(times.size)
+    products = [np.empty((4 * _BLOCK_ROWS, k + 1)) for _ in groups]
+    densities = products[0] if len(groups) == 1 else np.empty((4 * _BLOCK_ROWS, 2 * (k + 1)))
     for lo in range(0, times.size, _BLOCK_ROWS):
-        c = evolve_amplitudes(state.amplitudes, params, times[lo:lo + _BLOCK_ROWS])[:, n]
-        turned = c * to_momentum
-        parts = np.concatenate([c.real, c.imag, turned.real, turned.imag]) @ basis
-        parts = np.square(parts, out=parts).reshape(2, 2, c.shape[0], x.size)
-        rho, gamma = parts.sum(axis=1)
-        values[lo:lo + _BLOCK_ROWS] = (_renyi_on_rows(rho, integrate, pair.zeta)
-                                       + _renyi_on_rows(gamma, integrate, pair.eta))
+        c = evolve_amplitudes(state.amplitudes, params, times[lo:lo + _BLOCK_ROWS])
+        b = c.shape[0]
+        for g, phases, basis, out in zip(groups, to_momentum, bases, products):
+            cg = c[:, g]
+            turned = cg * phases
+            np.matmul(np.concatenate([cg.real, turned.real, cg.imag, turned.imag]), basis,
+                      out=out[:4 * b])
+        if len(groups) == 2:
+            even, odd = products[0][:4 * b], products[1][:4 * b]
+            np.add(even, odd, out=densities[:4 * b, :k + 1])
+            np.subtract(even, odd, out=densities[:4 * b, k + 1:])
+        f = np.square(densities[:4 * b], out=densities[:4 * b])
+        np.add(f[:2 * b], f[2 * b:], out=f[:2 * b])
+        values[lo:lo + b] = (_renyi_on_rows(f[:b], integrate, pair.zeta)
+                             + _renyi_on_rows(f[b:2 * b], integrate, pair.eta))
     meta = {
         "l": spec.l, "h": spec.h, "nu": spec.nu, "theta": spec.theta,
         "chi": params.chi, "zeta": pair.zeta, "eta": pair.eta, "n_max": n_max,

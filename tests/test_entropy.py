@@ -157,6 +157,18 @@ class TestRenyiPair:
         with pytest.raises(ValueError):
             RenyiPair(2 / 3, 3.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: RenyiPair(math.nan, math.nan),
+        lambda: RenyiPair(math.inf, 0.5),
+        lambda: RenyiPair(0.5, math.inf),
+        lambda: RenyiPair(-math.inf, 0.5),
+        lambda: RenyiPair.conjugate(math.nan),
+        lambda: RenyiPair.conjugate(math.inf),
+    ], ids=["nan-nan", "inf-half", "half-inf", "-inf-half", "conjugate-nan", "conjugate-inf"])
+    def test_rejects_non_finite_orders(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_conjugate_constructor(self):
         pair = RenyiPair.conjugate(3 / 4)
         assert pair.eta == pytest.approx(1.5, abs=1e-15)
@@ -222,8 +234,9 @@ class TestEntropySeries:
         assert series.meta["zeta"] == pytest.approx(2 / 3)
         assert series.values.size == 21
 
-    # a non-uniform grid through f = 0 and f = 1; 2 samples make one short
-    # block, 33 and 37 a full block of 32 and then a last block of 1 and of 5
+    # a non-uniform grid through f = 0 and f = 1; 9 and 2 samples make one
+    # short block, 33 and 37 two full blocks of 16 and then a last block of 1
+    # and of 5
     CROSS_GRIDS = [
         TimeGrid(np.array([0.0, 0.013, 1 / 18, 1 / 9, 0.125, 0.31, 0.5, 0.77, 1.0])),
         TimeGrid.uniform(2, 0.0, 0.25),
@@ -233,10 +246,12 @@ class TestEntropySeries:
 
     @pytest.mark.parametrize("pair", [RenyiPair(2 / 3, 2.0), RenyiPair(0.6, 3.0), RenyiPair(1.0, 1.0)],
                              ids=["2/3-2", "0.6-3", "shannon"])
-    @pytest.mark.parametrize("l, h", [(1, 0), (2, 0), (3, 0), (3, 1)])
+    @pytest.mark.parametrize("l, h", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0)])
     def test_matches_per_state_sums(self, l, h, pair):
-        # independent route: one evolved state at a time, complex projection (the
-        # Simpson weights both routes share are checked against scipy's simpson above)
+        # independent route: one evolved state at a time, complex projection on the
+        # full grid (the Simpson weights both routes share are checked against
+        # scipy's simpson above); (2, 0), (2, 1) and (4, 0) have a support of one
+        # parity, folded onto x >= 0, and (2, 1) is odd, with rho(0) = 0
         spec = SuperpositionSpec(l, h, 12.0)
         for grid in self.CROSS_GRIDS:
             series = entropy_series(spec, PARAMS, grid, pair)
