@@ -58,6 +58,7 @@ from .states import (
     superposed_state,
     truncation_dim,
 )
+from .textfmt import SLOT, edge_values, series_table
 from .wigner import PhaseSpaceGrid, count_lobes, default_grid, wigner_field
 
 
@@ -446,6 +447,34 @@ def _validate_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
         return f"vacuum field error {err:.1e}, 4-lobe portrait"
 
     checks.append(_check("Wigner field basics", wigner_quick))
+
+    def writer():
+        edge = edge_values()
+        want = "".join(f"{SLOT % v},{SLOT % v}\n" for v in edge.tolist())
+        assert series_table(edge, edge) == want, "formatter differs from '%.17g' on the edge vector"
+
+        def same(text_rows, want):  # float() of every number, bit for bit
+            got = np.array([[float(s) for s in row] for row in text_rows])
+            return got.shape == want.shape and np.array_equal(got.view(np.uint64),
+                                                              want.view(np.uint64))
+
+        state = evolve(superposed_state(SuperpositionSpec(3, 0, 20.0)), params, t_rev / 18)
+        fld = wigner_field(state, default_grid(state, 101))
+        xs, ps, w = fld.grid.xs(), fld.grid.ps(), fld.values
+        x, p = np.meshgrid(xs, ps, indexing="ij")
+        csv = [line.split(",") for line in fld.to_csv().splitlines()[1:]]
+        assert same(csv, np.stack([x.ravel(), p.ravel(), w.ravel()], axis=1)), "portrait CSV"
+        matrix = [line.split() for line in fld.to_gnuplot_matrix().splitlines()]
+        assert same(matrix[:1], np.concatenate([[xs.size], xs])[None]), "matrix axis row"
+        assert same(matrix[1:], np.column_stack([ps, w.T])), "matrix rows"
+        series = moment_series(SuperpositionSpec(2, 0, 40.0), "x", 4, params, TimeGrid.uniform(501))
+        lines = series.to_csv().splitlines()
+        rows = [line.split(",") for line in lines[lines.index("t_over_Trev,value") + 1:]]
+        assert same(rows, np.column_stack([series.grid.fractions, series.values])), "series CSV"
+        count = 3 * w.size + (xs.size + 1) + w.size + ps.size + 2 * len(rows)
+        return f"{count} numbers read back exactly; '%.17g' on {edge.size} edge values"
+
+    checks.append(_check("writer round trip", writer))
 
     def truncation_guard():
         try:

@@ -24,7 +24,7 @@ from .states import (
     coherent_amplitudes,
     truncation_dim,
 )
-from .textfmt import fill, float_strings, labelled_lines
+from .textfmt import series_table
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,8 @@ class TimeSeries:
         lines = [f"# {key}={val}" for key, val in sorted(self.meta.items())]
         if self.observable:
             lines.insert(0, f"# observable={self.observable}")
-        lines.append("t_over_Trev,value")
-        lines.append(fill(labelled_lines(float_strings(self.grid.fractions)), self.values))
-        lines.append("")
-        return "\n".join(lines)
+        lines.append("t_over_Trev,value\n")
+        return "\n".join(lines) + series_table(self.grid.fractions, self.values)
 
 
 def _half_turns(fractions, lower, upper) -> np.ndarray:

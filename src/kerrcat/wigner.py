@@ -26,8 +26,11 @@ t = T_rev/32, the images reach 9.2e-10, while the rule picks s = 2 and meets
 the coherent-sum closed form to 2e-15.
 
 A field's two files, an x-major 'x,p,W' CSV and a gnuplot nonuniform matrix,
-come from one formatting pass (`textfmt.portrait_tables`); the writer called
-first holds the other text on the field until the other writer takes it.
+come from one formatting pass (`textfmt.portrait_tables`): the vectorised
+'%.17g' formatter writes each W once into zero-padded byte rows (Python's '%'
+writes only possible rounding ties and |W| <= 1e-280), and both texts are
+assembled from those rows; the writer called first holds the other text on
+the field until the other writer takes it.
 
 `count_lobes` blurs W with a Gaussian of width 1/2 in x and p, as two banded
 matrices with reflecting edges (the taps and the edge rule of

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -237,20 +238,32 @@ class TestWriterGolden:
             assert not field._held  # the text one writer left was taken by the other
 
     def test_each_value_formatted_once(self, case, monkeypatch):
-        # every number goes through textfmt's formatters; writing both files
+        # every number goes through textfmt's one formatter; writing both files
         # formats the n_x n_p values and the two axes once each
         formatted = []
-        float_strings, fill = textfmt.float_strings, textfmt.fill
-        monkeypatch.setattr(textfmt, "float_strings",
-                            lambda values: formatted.append(np.size(values)) or float_strings(values))
-        monkeypatch.setattr(textfmt, "fill",
-                            lambda template, values: formatted.append(np.size(values))
-                            or fill(template, values))
+        padded_text = textfmt.padded_text
+        monkeypatch.setattr(textfmt, "padded_text",
+                            lambda values: formatted.append(np.size(values)) or padded_text(values))
         source, want = case
         field = PhaseSpaceField(source.grid, source.values)
         assert (field.to_csv(), field.to_gnuplot_matrix()) == (want["csv"], want["dat"])
         n_x, n_p = field.values.shape
         assert sum(formatted) == n_x * n_p + n_x + n_p
+
+    def test_memory_above_the_two_texts(self):
+        # at 401^2 the writer holds the two texts (9.9 and 3.7 MB), the padded
+        # text of every W (28 bytes a value here, 4.5 MB) and one block of
+        # lines (under 1 MB); 6 MB bounds what it holds beyond the texts
+        state = evolve(superposed_state(SuperpositionSpec(3, 0, 20.0)), PARAMS, T_REV / 18)
+        field = wigner_field(state, default_grid(state, 401))
+        xs, ps = field.grid.xs(), field.grid.ps()
+        tracemalloc.start()
+        try:
+            csv, matrix = textfmt.portrait_tables(xs, ps, field.values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - len(csv) - len(matrix) < 6e6
 
 
 class TestSymmetryAndLobes:
