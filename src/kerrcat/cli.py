@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import sys
+import traceback
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -300,11 +301,16 @@ def run_custom(config: ExperimentConfig) -> None:
 # validation suite -----------------------------------------------------------
 
 def _check(name, fn):
+    """Run one check; a failed assertion or any other error is its FAIL, and the
+    suite goes on to the next check."""
     try:
         detail = fn()
         return (name, True, detail or "")
     except AssertionError as exc:
         return (name, False, str(exc))
+    except Exception as exc:
+        traceback.print_exc()
+        return (name, False, f"{type(exc).__name__}: {exc}")
 
 
 def _validate_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
@@ -391,7 +397,8 @@ def _validate_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
                                 [RenyiPair(2 / 3, 2.0), RenyiPair(1.0, 1.0), RenyiPair(0.8, 4 / 3),
                                  RenyiPair(0.6, 3.0), RenyiPair(0.75, 1.5)]):
             spec = SuperpositionSpec(l, h, 40.0)
-            fracs = np.unique(np.concatenate([rng.uniform(0.0, 1.0, 4),
+            # 64 samples: four blocks of 16 rows, two for each of two workers
+            fracs = np.unique(np.concatenate([rng.uniform(0.0, 1.0, 61),
                                               [1 / (2 * l * l), 1 / (l * l), 1.0]]))
             series = entropy_series(spec, params, TimeGrid(fracs), pair)
             state = superposed_state(spec, series.meta["n_max"])

@@ -13,6 +13,14 @@ c_n != 0, about 1/l of them for an l-cat) on the x >= 0 half of its grid,
 product per parity group and block of 16 time rows gives psi and phi on both
 halves.  A fixed Simpson weight vector integrates them.
 
+The blocks are dealt round-robin to one worker thread per CPU the process may
+run on, the calling thread among them; each worker writes its own rows of the
+series, so the values do not depend on the number of workers.  numpy's
+OpenBLAS runs these products no faster on several threads, while its idle
+threads spin through every elementwise pass, so importing kerrcat sets it to
+one thread, once.  Where no OpenBLAS of numpy's own is found (other platforms
+and builds), BLAS is left as it is and one worker runs the blocks.
+
 The conjugate-pair entropy sum obeys
 
     R_rho(zeta) + R_gamma(eta) >= -ln(zeta/pi)/(2(1-zeta)) - ln(eta/pi)/(2(1-eta))
@@ -23,8 +31,13 @@ states) saturate the bound for every admissible pair.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -41,11 +54,48 @@ from .states import FockState, SuperpositionSpec, mean_photon_number, superposed
 DEFAULT_GRID_STEP = 0.005
 DEFAULT_GRID_PAD = 6.0
 # time rows per projection block: the 4 x 16 rows of a product table over the
-# x >= 0 half (1.5 MB at nu = 35) fit a 2 MiB L2; on the benchmark's entropy
-# series 16 rows ran faster than 8, 12, 24 and 32
+# x >= 0 half (1.5 MB at nu = 35) fit a 2 MiB L2, which is per core, so each
+# worker runs one block at a time; on the benchmark's entropy series 16 rows
+# ran faster than 8, 12, 24 and 32
 _BLOCK_ROWS = 16
 # (-i)^n indexed by n mod 4; numpy forms (-1j) ** n through exp/log for n >= 100
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
+
+
+def _openblas_thread_setter():
+    """`set_num_threads` of the OpenBLAS bundled in numpy's wheel, or None.
+
+    Only the libraries in the wheel's `numpy.libs` folder are searched, so no
+    other BLAS of the process is touched.  Without `os.sched_getaffinity`
+    (not Linux) the CPUs cannot be counted and None is returned.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return None
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return setter
+    return None
+
+
+_SET_BLAS_THREADS = _openblas_thread_setter()
+if _SET_BLAS_THREADS is not None:
+    _SET_BLAS_THREADS(1)
+
+
+def _workers(blocks: int) -> int:
+    """Worker threads for `blocks` time blocks: one per available CPU once BLAS is
+    on one thread, never more than there are blocks; else one."""
+    if _SET_BLAS_THREADS is None:
+        return 1
+    return min(len(os.sched_getaffinity(0)), blocks)
 
 
 @dataclass(frozen=True)
@@ -244,24 +294,42 @@ def entropy_series(
 
     times = grid.times(params)
     values = np.empty(times.size)
-    products = [np.empty((4 * _BLOCK_ROWS, k + 1)) for _ in groups]
-    densities = products[0] if len(groups) == 1 else np.empty((4 * _BLOCK_ROWS, 2 * (k + 1)))
-    for lo in range(0, times.size, _BLOCK_ROWS):
-        c = evolve_amplitudes(state.amplitudes, params, times[lo:lo + _BLOCK_ROWS])
-        b = c.shape[0]
-        for g, phases, basis, out in zip(groups, to_momentum, bases, products):
-            cg = c[:, g]
-            turned = cg * phases
-            np.matmul(np.concatenate([cg.real, turned.real, cg.imag, turned.imag]), basis,
-                      out=out[:4 * b])
-        if len(groups) == 2:
-            even, odd = products[0][:4 * b], products[1][:4 * b]
-            np.add(even, odd, out=densities[:4 * b, :k + 1])
-            np.subtract(even, odd, out=densities[:4 * b, k + 1:])
-        f = np.square(densities[:4 * b], out=densities[:4 * b])
-        np.add(f[:2 * b], f[2 * b:], out=f[:2 * b])
-        values[lo:lo + b] = (_renyi_on_rows(f[:b], integrate, pair.zeta)
-                             + _renyi_on_rows(f[b:2 * b], integrate, pair.eta))
+    workers = _workers(-(-times.size // _BLOCK_ROWS))
+    # every worker's tables are allocated here: a worker thread's own malloc
+    # arena would keep them after it ends
+    tables = []
+    for _ in range(workers):
+        products = [np.empty((4 * _BLOCK_ROWS, k + 1)) for _ in groups]
+        densities = products[0] if len(groups) == 1 else np.empty((4 * _BLOCK_ROWS, 2 * (k + 1)))
+        tables.append((products, densities))
+
+    def run_blocks(part):
+        products, densities = tables[part]
+        for lo in range(part * _BLOCK_ROWS, times.size, workers * _BLOCK_ROWS):
+            c = evolve_amplitudes(state.amplitudes, params, times[lo:lo + _BLOCK_ROWS])
+            b = c.shape[0]
+            for g, phases, basis, out in zip(groups, to_momentum, bases, products):
+                cg = c[:, g]
+                turned = cg * phases
+                np.matmul(np.concatenate([cg.real, turned.real, cg.imag, turned.imag]), basis,
+                          out=out[:4 * b])
+            if len(groups) == 2:
+                even, odd = products[0][:4 * b], products[1][:4 * b]
+                np.add(even, odd, out=densities[:4 * b, :k + 1])
+                np.subtract(even, odd, out=densities[:4 * b, k + 1:])
+            f = np.square(densities[:4 * b], out=densities[:4 * b])
+            np.add(f[:2 * b], f[2 * b:], out=f[:2 * b])
+            values[lo:lo + b] = (_renyi_on_rows(f[:b], integrate, pair.zeta)
+                                 + _renyi_on_rows(f[b:2 * b], integrate, pair.eta))
+
+    # the other workers run in copies of the caller's context, which holds
+    # numpy's error state (np.errstate)
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        rest = [pool.submit(contextvars.copy_context().run, run_blocks, part)
+                for part in range(1, workers)]
+        run_blocks(0)
+        for future in rest:
+            future.result()
     meta = {
         "l": spec.l, "h": spec.h, "nu": spec.nu, "theta": spec.theta,
         "chi": params.chi, "zeta": pair.zeta, "eta": pair.eta, "n_max": n_max,

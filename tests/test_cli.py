@@ -259,6 +259,17 @@ class TestMain:
     def test_validate_passes(self):
         assert run_validate() == 0
 
+    def test_validate_records_an_error_and_runs_on(self, monkeypatch, capsys):
+        def broken(field):
+            raise ValueError("no field to count")
+
+        monkeypatch.setattr(cli, "count_lobes", broken)
+        assert cli.main(["validate"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "[FAIL] Wigner field basics: ValueError: no field to count" in out
+        assert sum(line.startswith("[PASS] ") for line in out) == 11
+        assert out[-1] == "11/12 checks passed"
+
 
 def test_write_encodes_in_slices(tmp_path):
     # a 9.6 MB portrait-sized text: encoding all of it at once would peak 9.6 MB above it

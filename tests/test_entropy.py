@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from kerrcat import (
     renyi_uncertainty_sum,
     superposed_state,
 )
+import kerrcat.entropy as entropy_module
 from kerrcat.entropy import _simpson_weights, default_grid_for, oscillator_basis, uniform_grid
 
 PARAMS = KerrParams(1.0)
@@ -274,6 +281,131 @@ class TestEntropySeries:
         monkeypatch.setattr("kerrcat.evolution._phase_factors", conjugated)
         wrong = entropy_series(spec, PARAMS, grid, pair).values
         assert np.max(np.abs(wrong - right)) > 1e-2
+
+
+def recording_threads(monkeypatch):
+    """Record the thread that propagates each block of `entropy_series`."""
+    threads = []
+    propagate = entropy_module.evolve_amplitudes
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(entropy_module, "evolve_amplitudes", recorded)
+    return threads
+
+
+class TestWorkers:
+    # the benchmark's layouts: l = 1 and 3 with both parities, the even (2, 0)
+    # and the odd (2, 1) support folded onto x >= 0; the grids make one block
+    # (9 samples) and three, the last one partial (33 and 37 samples)
+    SHAPES = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)]
+    GRIDS = [TestEntropySeries.CROSS_GRIDS[0], TimeGrid.uniform(33, 0.0, 0.5),
+             TimeGrid.uniform(37, 0.2, 1.0)]
+
+    @pytest.mark.parametrize("l, h", SHAPES)
+    def test_split_is_bitwise_the_one_worker_loop(self, monkeypatch, l, h):
+        spec = SuperpositionSpec(l, h, 12.0)
+        pair = RenyiPair(0.6, 3.0)
+
+        def series(workers):
+            if workers is not None:
+                monkeypatch.setattr(entropy_module, "_workers", lambda blocks: min(workers, blocks))
+            return [entropy_series(spec, PARAMS, grid, pair).values.tobytes() for grid in self.GRIDS]
+
+        threads = recording_threads(monkeypatch)
+        on_this_host = series(None)
+        threads.clear()
+        three = series(3)
+        # the 9-sample grid is one block, run by the caller; 33 and 37 are three
+        # blocks each, dealt to the caller and to pool threads
+        caller = threading.get_ident()
+        assert len(threads) == 7 and threads[0] == caller
+        assert threads[1:4].count(caller) == threads[4:].count(caller) == 1
+        one = series(1)
+        assert one == on_this_host == three
+
+    def test_benchmark_sized_series_is_bitwise_the_one_worker_loop(self, monkeypatch):
+        spec = SuperpositionSpec(3, 0, 30.0)
+        grid, pair = TimeGrid.uniform(1001, 0.0, 0.5), RenyiPair(0.75, 1.5)
+        split = entropy_series(spec, PARAMS, grid, pair).values
+        monkeypatch.setattr(entropy_module, "_workers", lambda blocks: 1)
+        assert entropy_series(spec, PARAMS, grid, pair).values.tobytes() == split.tobytes()
+
+    def test_more_workers_than_cores_with_fast_thread_switching(self, monkeypatch):
+        # eight workers on 11 blocks share the series buffer and the basis table
+        spec, grid, pair = SuperpositionSpec(3, 1, 12.0), TimeGrid.uniform(161, 0.0, 0.5), RenyiPair(0.8, 4 / 3)
+        monkeypatch.setattr(entropy_module, "_workers", lambda blocks: 1)
+        want = entropy_series(spec, PARAMS, grid, pair).values
+        monkeypatch.setattr(entropy_module, "_workers", lambda blocks: min(8, blocks))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = entropy_series(spec, PARAMS, grid, pair).values
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
+    def test_without_the_blas_setter_one_worker_runs(self, monkeypatch):
+        spec, grid, pair = SuperpositionSpec(3, 0, 12.0), self.GRIDS[2], RenyiPair(2 / 3, 2.0)
+        want = entropy_series(spec, PARAMS, grid, pair).values
+        monkeypatch.setattr(entropy_module, "_SET_BLAS_THREADS", None)
+        threads = recording_threads(monkeypatch)
+        got = entropy_series(spec, PARAMS, grid, pair).values
+        assert set(threads) == {threading.get_ident()} and len(threads) == 3
+        assert got.tobytes() == want.tobytes()
+
+    def test_import_sets_numpy_blas_to_one_thread(self):
+        if entropy_module._SET_BLAS_THREADS is None:
+            pytest.skip("numpy bundles no OpenBLAS here; BLAS is left alone")
+        # a fresh interpreter: kerrcat's import alone sets the count
+        getter = entropy_module._SET_BLAS_THREADS.__name__.replace("_set_", "_get_")
+        script = f"""
+import ctypes
+from pathlib import Path
+import numpy as np
+import kerrcat
+libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+lib = ctypes.CDLL(str(next(libs.glob("*openblas*"))))
+get = lib.{getter}
+get.argtypes, get.restype = [], ctypes.c_int
+print(get())
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(entropy_module.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
+
+    @staticmethod
+    def divide_on(monkeypatch, worker):
+        """Divide by zero in the blocks of the second worker, or of the caller."""
+        caller = threading.get_ident()
+        renyi = entropy_module._renyi_on_rows
+
+        def dividing(densities, integrate, order):
+            if (threading.get_ident() != caller) == worker:
+                np.ones(1) / np.zeros(1)
+            return renyi(densities, integrate, order)
+
+        monkeypatch.setattr(entropy_module, "_renyi_on_rows", dividing)
+        monkeypatch.setattr(entropy_module, "_workers", lambda blocks: min(2, blocks))
+
+    @pytest.mark.parametrize("worker", [False, True], ids=["caller", "second-worker"])
+    def test_error_state_reaches_every_worker(self, monkeypatch, worker):
+        self.divide_on(monkeypatch, worker)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            entropy_series(SuperpositionSpec(1, 0, 12.0), PARAMS, self.GRIDS[1], RenyiPair(2 / 3, 2.0))
+
+    def test_warning_in_a_worker_fails_the_run(self, monkeypatch):
+        # numpy's default error state warns; the test run makes RuntimeWarning an error
+        self.divide_on(monkeypatch, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="divide by zero"):
+                entropy_series(SuperpositionSpec(1, 0, 12.0), PARAMS, self.GRIDS[1],
+                               RenyiPair(2 / 3, 2.0))
 
 
 def test_density_profile_validation():
