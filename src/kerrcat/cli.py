@@ -36,7 +36,18 @@ from .evolution import (
     analytic_state_at,
     evolve,
 )
-from .entropy import RenyiPair, entropy_series, renyi_bound, renyi_uncertainty_sum
+from .entropy import (
+    DEFAULT_GRID_PAD,
+    RenyiPair,
+    default_grid_for,
+    entropy_series,
+    momentum_density,
+    oscillator_basis,
+    position_density,
+    renyi_bound,
+    renyi_entropy,
+    renyi_uncertainty_sum,
+)
 from .moments import (
     a_power_oracle,
     a_power_superposition,
@@ -313,6 +324,24 @@ def _check(name, fn):
         return (name, False, f"{type(exc).__name__}: {exc}")
 
 
+def _converged_renyi_sums(state: FockState, pairs: list[RenyiPair],
+                          step: float = 2.5e-4) -> list[float]:
+    """R_rho(zeta) + R_gamma(eta) for each pair by the plain trapezoid on every
+    point of a fine grid one unit wider than `default_grid_for`, built 4096
+    points at a time; the grid's ends are below 1e-30 and carry no half weights."""
+    x = default_grid_for(state, step, DEFAULT_GRID_PAD + 1.0)
+    c = state.amplitudes
+    turned = c * np.array([1, -1j, -1, 1j])[np.arange(c.size) % 4]
+    sums = np.zeros((len(pairs), 2))
+    for lo in range(0, x.size, 4096):
+        table = oscillator_basis(state.n_max, x[lo:lo + 4096])
+        rho = np.square(c.real @ table) + np.square(c.imag @ table)
+        gamma = np.square(turned.real @ table) + np.square(turned.imag @ table)
+        sums += [[np.sum(rho**pair.zeta), np.sum(gamma**pair.eta)] for pair in pairs]
+    return [math.log(step * a) / (1.0 - pair.zeta) + math.log(step * b) / (1.0 - pair.eta)
+            for (a, b), pair in zip(sums, pairs)]
+
+
 def _validate_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     params = KerrParams(1.0)
     t_rev = params.t_rev
@@ -408,6 +437,26 @@ def _validate_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
         return f"worst error {worst:.3e}"
 
     checks.append(_check("entropy series against per-state sums", entropy_sums))
+
+    def quadrature_grids():
+        # an integer order's sub-grid (step about pi / (o X)) against every point
+        worst = 0.0
+        for l in (1, 2, 3, 4):
+            s = evolve(superposed_state(SuperpositionSpec(l, 0, 20.0)), params, 0.37 * t_rev)
+            for pair in (RenyiPair(2 / 3, 2.0), RenyiPair(0.6, 3.0), RenyiPair(2.0, 2 / 3)):
+                full = (renyi_entropy(position_density(s), pair.zeta)
+                        + renyi_entropy(momentum_density(s), pair.eta))
+                worst = max(worst, abs(renyi_uncertainty_sum(s, pair) - full))
+        assert worst < 1e-12, f"integer-order sub-grid vs full grid {worst}"
+        # composite Simpson on the same grid missed this sum by 1.40e-5
+        spec, pair = SuperpositionSpec(3, 0, 30.0, math.pi / 4), RenyiPair(0.6, 3.0)
+        series = entropy_series(spec, params, TimeGrid(np.array([0.25, 0.5])), pair)
+        state = evolve(superposed_state(spec, series.meta["n_max"]), params, t_rev / 4)
+        err = abs(series.values[0] - _converged_renyi_sums(state, [pair])[0])
+        assert err < 1e-5, f"3-cat, nu=30, T_rev/4, zeta=0.6 off the converged sum by {err}"
+        return f"sub-grid error {worst:.1e}, 3-cat T_rev/4 zeta=0.6 off by {err:.2e}"
+
+    checks.append(_check("Renyi quadrature grids", quadrature_grids))
 
     def parity():
         spec = SuperpositionSpec(2, 0, 100.0)

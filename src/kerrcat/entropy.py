@@ -4,14 +4,29 @@ Wavefunctions are assembled from the harmonic-oscillator eigenfunctions
 phi_n(x) consistent with x = (a + a^dag)/sqrt(2); the momentum wavefunction
 uses the exact identity phi(p) = sum_n c_n (-i)^n phi_n(p) instead of a
 numerical Fourier transform.  `position_wavefunction` is also the psi of
-`wigner.wigner_field`.  Entropies use composite Simpson quadrature, one fixed
-weight vector on a uniform grid with an odd point count.
+`wigner.wigner_field`.  Entropies use the trapezoid rule on a uniform grid.
+
+A Renyi sum integrates each density on the sub-grid its order needs: every
+s-th point counted from the grid's centre index, so x = 0 and the parity fold
+below stay on it (`_quadrature_stride`):
+
+* order <= 1, rho for every zeta < 1 and both densities of the Shannon pair:
+  s = 1, since f^order has near-cusps where the density nearly vanishes;
+* integer order o > 1, such as the study pair's eta = 2: the largest s with
+  s h <= pi / (o X), X the grid's half-width (sqrt(2 <N>) + DEFAULT_GRID_PAD
+  on `default_grid_for`).  The Fourier transform of |phi|^(2o) is an o-fold
+  autocorrelation of psi, which vanishes beyond |x| = 2 o X, so by Poisson
+  summation the trapezoid on that sub-grid equals the one on every point
+  (to 2e-15 over 1- to 4-cats at orders 2, 3 and 4);
+* any other order > 1: s = 2.
+
+A pair with zeta > 1 swaps the roles of rho and gamma.
 
 `entropy_series` projects only the support rows of the state (the n with
 c_n != 0, about 1/l of them for an l-cat) on the x >= 0 half of its grid,
-`default_grid_for(state)`: phi_n has the parity of n there, so one real matrix
-product per parity group and block of 16 time rows gives psi and phi on both
-halves.  A fixed Simpson weight vector integrates them.
+`default_grid_for(state)`: phi_n has the parity of n there, so two real matrix
+products per parity group and block of 16 time rows give psi on the full
+half and phi on its sub-grid (or the other way round), on both halves.
 
 The blocks are dealt round-robin to one worker thread per CPU the process may
 run on, the calling thread among them; each worker writes its own rows of the
@@ -44,19 +59,19 @@ import numpy as np
 from .evolution import KerrParams, TimeGrid, TimeSeries, evolve_amplitudes
 from .states import FockState, SuperpositionSpec, mean_photon_number, superposed_state, truncation_dim
 
-# Composite Simpson at 0.005 is not uniformly converged.  Against a trapezoid
-# at step 2.5e-4 on a span 2 wider, over the benchmark's seven entropy states,
-# the 33 times j/q <= 1/2 with q <= 14 and the pairs zeta = 2/3, 0.6, 0.75,
-# 0.8, 0.9, the Renyi sum is off by at most 1.4e-5 (3-cat, nu = 30, T_rev/4,
-# zeta = 0.6).  The largest errors sit at zeta = 0.6, whose f^zeta has the
-# sharpest cusps at zeros of the density, and the plain trapezoid at 0.005 is
-# off by as much there (1.4e-5 at the 2-cat, nu = 35, T_rev/12).
+# The trapezoid at 0.005 with these sub-grids is not uniformly converged.
+# Against a trapezoid at step 2.5e-4 on a span 1 wider, over 396 cases (1-cat
+# at nu = 35, 2- and 3-cats at nu = 30; the 33 times j/q <= 1/2 with q <= 14;
+# zeta = 2/3, 0.6, 0.75, 0.9), the Renyi sum is off by at most 1.25e-5
+# (1-cat, T_rev/4, zeta = 0.6), with median 7.0e-8; composite Simpson on the
+# same grid read 1.40e-5 and 2.08e-7.  The largest errors sit at zeta = 0.6,
+# whose rho^zeta has the sharpest cusps at near-zeros of the density.
 DEFAULT_GRID_STEP = 0.005
 DEFAULT_GRID_PAD = 6.0
-# time rows per projection block: the 4 x 16 rows of a product table over the
-# x >= 0 half (1.5 MB at nu = 35) fit a 2 MiB L2, which is per core, so each
-# worker runs one block at a time; on the benchmark's entropy series 16 rows
-# ran faster than 8, 12, 24 and 32
+# time rows per projection block: a block's product tables, 2 x 16 rows per
+# density and parity group (under 1.5 MB at nu = 35), fit a 2 MiB L2, which is
+# per core, so each worker runs one block at a time; on the benchmark's entropy
+# series 16 rows ran faster than 8, 12, 24 and 32
 _BLOCK_ROWS = 16
 # (-i)^n indexed by n mod 4; numpy forms (-1j) ** n through exp/log for n >= 100
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
@@ -122,9 +137,9 @@ class RenyiPair:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Probability density sampled on a uniform 1-D grid with an odd point count.
+    """Probability density sampled on a uniform 1-D grid; non-uniform grids raise.
 
-    Those are the grids the fixed Simpson weights integrate; others raise.
+    The trapezoid rule integrates it.
     """
 
     grid: np.ndarray
@@ -133,18 +148,18 @@ class DensityProfile:
     def __post_init__(self):
         g = np.ascontiguousarray(self.grid, dtype=np.float64)
         v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if g.shape != v.shape or g.ndim != 1 or g.size < 3:
-            raise ValueError("grid and values must be matching 1-D arrays")
+        if g.shape != v.shape or g.ndim != 1 or g.size < 2:
+            raise ValueError("grid and values must be matching 1-D arrays of at least 2 points")
         steps = np.diff(g)
-        if g.size % 2 == 0 or steps[0] == 0 or np.ptp(steps) > 1e-9 * abs(steps[0]):
-            raise ValueError("grid must be uniform with an odd point count for Simpson's rule")
+        if steps[0] == 0 or np.ptp(steps) > 1e-9 * abs(steps[0]):
+            raise ValueError("grid must be uniform for the trapezoid rule")
         if np.any(v < -1e-14):
             raise ValueError("density values must be nonnegative")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", np.maximum(v, 0.0))
 
     def total(self) -> float:
-        return float(self.values @ _simpson_weights(self.grid))
+        return float(self.values @ _trapezoid_weights(self.grid))
 
 
 def uniform_grid(span: float, step: float = DEFAULT_GRID_STEP) -> np.ndarray:
@@ -160,20 +175,28 @@ def default_grid_for(state: FockState, step: float = DEFAULT_GRID_STEP,
     return uniform_grid(span, step)
 
 
-def oscillator_basis(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Table phi_n(x) for n = 0..n_max, shape (n_max+1, len(x)).
+def oscillator_basis(n_max: int, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Table phi_n(x) for n = 0..n_max, shape (n_max+1, len(x)), or for the n in
+    `rows` only, in their order.
 
     Built with the normalized three-term recurrence
     phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1},
-    which keeps every entry bounded (no factorial overflow at n ~ 300).
+    which keeps every entry bounded (no factorial overflow at n ~ 300).  The
+    recurrence keeps two rows, so a table of some rows needs no full table.
     """
     x = np.asarray(x, dtype=np.float64)
-    table = np.empty((n_max + 1, x.size))
-    table[0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
-    if n_max >= 1:
-        table[1] = math.sqrt(2.0) * x * table[0]
-    for n in range(1, n_max):
-        table[n + 1] = math.sqrt(2.0 / (n + 1)) * x * table[n] - math.sqrt(n / (n + 1.0)) * table[n - 1]
+    rows = np.arange(n_max + 1) if rows is None else np.asarray(rows)
+    table = np.empty((rows.size, x.size))
+    slot = np.full(n_max + 1, -1)
+    slot[rows] = np.arange(rows.size)
+    below, phi = None, np.pi**-0.25 * np.exp(-0.5 * x * x)
+    for n in range(n_max + 1):
+        if slot[n] >= 0:
+            table[slot[n]] = phi
+        if n == 0:
+            below, phi = phi, math.sqrt(2.0) * x * phi
+        elif n < n_max:
+            below, phi = phi, math.sqrt(2.0 / (n + 1)) * x * phi - math.sqrt(n / (n + 1.0)) * below
     return table
 
 
@@ -208,7 +231,7 @@ def renyi_entropy(density: DensityProfile, order: float) -> float:
     """
     if order <= 0:
         raise ValueError("order must be positive")
-    weights = _simpson_weights(density.grid)
+    weights = _trapezoid_weights(density.grid)
     return float(_renyi_on_rows(density.values.copy(), lambda f: f @ weights, order))
 
 
@@ -222,12 +245,44 @@ def renyi_bound(pair: RenyiPair) -> float:
 
 def renyi_uncertainty_sum(state: FockState, pair: RenyiPair,
                           grid: np.ndarray | None = None) -> float:
-    """R_rho(zeta) + R_gamma(eta) for the state's position and momentum densities."""
+    """R_rho(zeta) + R_gamma(eta) for the state's position and momentum densities.
+
+    One basis table on the whole grid serves psi and phi; each density is
+    integrated on the sub-grid of its order (`_quadrature_stride`).
+    """
     if grid is None:
         grid = default_grid_for(state)
-    rho = position_density(state, grid)
-    gamma = momentum_density(state, grid)
-    return renyi_entropy(rho, pair.zeta) + renyi_entropy(gamma, pair.eta)
+    grid = np.asarray(grid, dtype=np.float64)
+    table = oscillator_basis(state.n_max, grid)
+    turned = state.amplitudes * _MINUS_I_POWERS[np.arange(state.n_max + 1) % 4]
+    total = 0.0
+    for amplitudes, order in ((state.amplitudes, pair.zeta), (turned, pair.eta)):
+        stride = _quadrature_stride(grid, order)
+        k = grid.size // 2
+        reach = min(k, grid.size - 1 - k) // stride * stride
+        columns = slice(k - reach, k + reach + 1, stride) if stride > 1 else slice(None)
+        sub = table[:, columns]
+        density = np.square(amplitudes.real @ sub) + np.square(amplitudes.imag @ sub)
+        total += renyi_entropy(DensityProfile(grid[columns], density), order)
+    return total
+
+
+def _quadrature_stride(x: np.ndarray, order: float) -> int:
+    """Grid steps between the points on which a density raised to `order` is integrated.
+
+    1 for order <= 1, 2 for other non-integer orders, and for an integer order
+    o > 1 the largest s with s h <= pi / (o X), X the half-width of the grid x
+    (see the module docstring).  Never more than half the grid's steps.
+    """
+    if order <= 1.0 + 1e-12:
+        return 1
+    half = (x.size - 1) // 2
+    whole = round(order)
+    if abs(order - whole) > 1e-9:
+        return max(1, min(2, half))
+    step = (x[-1] - x[0]) / (x.size - 1)
+    width = max(abs(x[0]), abs(x[-1]))
+    return max(1, min(int(math.pi / (whole * width * step)), half))
 
 
 def _renyi_on_rows(densities: np.ndarray, integrate, order: float) -> np.ndarray:
@@ -241,12 +296,11 @@ def _renyi_on_rows(densities: np.ndarray, integrate, order: float) -> np.ndarray
     return np.log(integrate(np.power(densities, order, out=densities))) / (1.0 - order)
 
 
-def _simpson_weights(x: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights h/3 [1, 4, 2, ..., 2, 4, 1] of a uniform grid of odd size."""
-    w = np.full(x.size, 2.0)
-    w[1::2] = 4.0
-    w[[0, -1]] = 1.0
-    return w * ((x[-1] - x[0]) / (x.size - 1) / 3.0)
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Trapezoid weights h [1/2, 1, ..., 1, 1/2] of a uniform grid."""
+    w = np.full(x.size, (x[-1] - x[0]) / (x.size - 1))
+    w[[0, -1]] *= 0.5
+    return w
 
 
 def entropy_series(
@@ -261,66 +315,88 @@ def entropy_series(
     The densities live on `default_grid_for(state)`, symmetric with 2k + 1
     points.  Since phi_n(-x) = (-1)^n phi_n(x), psi(+-x) = E(x) +- O(x) on
     its x >= 0 half x[k:], where E and O sum the even and the odd support rows
-    (c_n != 0); phi(+-p) splits alike with c'_n = c_n (-i)^n.  For each block
-    of time rows c, each parity group takes one real matrix product of
-    [Re c; Re c'; Im c; Im c'] with its rows of the half table.  The squared
-    rows of [E + O | E - O] add up to rho = |psi|^2 and gamma = |phi|^2, and
-    the full grid's Simpson weights on x[k:] integrate both halves, the x = 0
-    column of the mirrored one at weight 0.  A support of one parity (every
-    even-l cat) has rho(-x) = rho(x): only the x >= 0 half is formed, at
-    folded weights 2w (w at x = 0).
+    (c_n != 0); phi(+-p) splits alike with c'_n = c_n (-i)^n.  The half
+    table's columns put the coarser density's sub-grid x[k], x[k + s], ...
+    first, so the finer one (stride 1) takes every column and the coarser a
+    leading block of them.  For each block of time rows c, each parity group
+    takes two real matrix products with its rows of the table: [Re c; Im c]
+    for psi, [Re c'; Im c'] for phi.  The squared rows of [E + O | E - O] add
+    up to rho = |psi|^2 and gamma = |phi|^2, which trapezoid weights on the
+    x >= 0 columns integrate over both halves, the x = 0 column of the
+    mirrored one at weight 0.  A support of one parity (every even-l cat) has
+    rho(-x) = rho(x): only the x >= 0 half is formed, at folded weights 2w
+    (w at x = 0).
     """
     if n_max is None:
         n_max = truncation_dim(spec.nu)
     state = superposed_state(spec, n_max)
     x = default_grid_for(state)
     k = x.size // 2
+    step = (x[-1] - x[0]) / (x.size - 1)
+    strides = [_quadrature_stride(x, pair.zeta), _quadrature_stride(x, pair.eta)]
+    on_sub = np.zeros(k + 1, dtype=bool)
+    on_sub[::max(strides)] = True
+    columns = np.concatenate([np.flatnonzero(on_sub), np.flatnonzero(~on_sub)])
+    widths = [k + 1 if s == 1 else np.count_nonzero(on_sub) for s in strides]
     n = np.flatnonzero(state.amplitudes)
     groups = [g for g in (n[n % 2 == 0], n[n % 2 == 1]) if g.size]
-    half = oscillator_basis(n_max, x[k:])
-    bases = [half[g] for g in groups]
-    del half
+    table = oscillator_basis(n_max, x[k:][columns], np.concatenate(groups))
+    bases = np.split(table, np.cumsum([g.size for g in groups])[:-1])
     to_momentum = [_MINUS_I_POWERS[g % 4] for g in groups]
-    w = _simpson_weights(x)[k:]
-    if len(groups) == 1:
-        weights = 2.0 * w
-        weights[0] = w[0]
-    else:
-        weights = np.concatenate([w, w])
-        weights[k + 1] = 0.0
-
-    def integrate(f):
-        return f @ weights
+    weights = []
+    for s, width in zip(strides, widths):
+        w = np.full(width, s * step)
+        w[columns[:width] == k // s * s] *= 0.5  # the sub-grid's last point
+        if len(groups) == 1:
+            folded = 2.0 * w
+            folded[0] = w[0]
+        else:
+            folded = np.concatenate([w, w])
+            folded[width] = 0.0
+        weights.append(folded)
 
     times = grid.times(params)
     values = np.empty(times.size)
     workers = _workers(-(-times.size // _BLOCK_ROWS))
-    # every worker's tables are allocated here: a worker thread's own malloc
-    # arena would keep them after it ends
+    # every worker's tables are views of one block allocated here: a worker
+    # thread's own malloc arena would keep them after it ends, and one block,
+    # unlike several smaller tables, is large enough for malloc to map it on
+    # its own and return it whole when the series returns (separate tables
+    # left up to 7 MB of free heap resident between the benchmark's entropy
+    # requests)
+    shapes = [(2 * _BLOCK_ROWS, width) for width in widths] * len(groups)  # products
+    if len(groups) == 2:
+        shapes += [(2 * _BLOCK_ROWS, 2 * width) for width in widths]  # densities of E +- O
+    sizes = [rows * cols for rows, cols in shapes]
+    parts = np.split(np.empty(workers * sum(sizes)), np.cumsum(sizes * workers)[:-1])
     tables = []
-    for _ in range(workers):
-        products = [np.empty((4 * _BLOCK_ROWS, k + 1)) for _ in groups]
-        densities = products[0] if len(groups) == 1 else np.empty((4 * _BLOCK_ROWS, 2 * (k + 1)))
-        tables.append((products, densities))
+    for part in range(workers):
+        mine = [p.reshape(shape) for p, shape in zip(parts[part * len(shapes):], shapes)]
+        products = [mine[0:2], mine[2:4]][:len(groups)]  # products[group][density]
+        tables.append((products, mine[4:6] if len(groups) == 2 else products[0]))
 
     def run_blocks(part):
         products, densities = tables[part]
         for lo in range(part * _BLOCK_ROWS, times.size, workers * _BLOCK_ROWS):
             c = evolve_amplitudes(state.amplitudes, params, times[lo:lo + _BLOCK_ROWS])
             b = c.shape[0]
-            for g, phases, basis, out in zip(groups, to_momentum, bases, products):
+            for g, phases, basis, (psi, phi) in zip(groups, to_momentum, bases, products):
                 cg = c[:, g]
                 turned = cg * phases
-                np.matmul(np.concatenate([cg.real, turned.real, cg.imag, turned.imag]), basis,
-                          out=out[:4 * b])
-            if len(groups) == 2:
-                even, odd = products[0][:4 * b], products[1][:4 * b]
-                np.add(even, odd, out=densities[:4 * b, :k + 1])
-                np.subtract(even, odd, out=densities[:4 * b, k + 1:])
-            f = np.square(densities[:4 * b], out=densities[:4 * b])
-            np.add(f[:2 * b], f[2 * b:], out=f[:2 * b])
-            values[lo:lo + b] = (_renyi_on_rows(f[:b], integrate, pair.zeta)
-                                 + _renyi_on_rows(f[b:2 * b], integrate, pair.eta))
+                np.matmul(np.concatenate([cg.real, cg.imag]), basis[:, :widths[0]], out=psi[:2 * b])
+                np.matmul(np.concatenate([turned.real, turned.imag]), basis[:, :widths[1]],
+                          out=phi[:2 * b])
+            sums = []
+            for d, (order, weight) in enumerate(zip((pair.zeta, pair.eta), weights)):
+                f = densities[d][:2 * b]
+                if len(groups) == 2:
+                    even, odd = products[0][d][:2 * b], products[1][d][:2 * b]
+                    np.add(even, odd, out=f[:, :widths[d]])
+                    np.subtract(even, odd, out=f[:, widths[d]:])
+                np.square(f, out=f)
+                np.add(f[:b], f[b:], out=f[:b])
+                sums.append(_renyi_on_rows(f[:b], lambda rows: rows @ weight, order))
+            values[lo:lo + b] = sums[0] + sums[1]
 
     # the other workers run in copies of the caller's context, which holds
     # numpy's error state (np.errstate)
@@ -333,5 +409,6 @@ def entropy_series(
     meta = {
         "l": spec.l, "h": spec.h, "nu": spec.nu, "theta": spec.theta,
         "chi": params.chi, "zeta": pair.zeta, "eta": pair.eta, "n_max": n_max,
+        "rho_step": strides[0] * step, "gamma_step": strides[1] * step,
     }
     return TimeSeries(grid, values, observable=f"renyi_sum({pair.zeta:g},{pair.eta:g})", meta=meta)

@@ -104,7 +104,13 @@ def _half_turns(fractions, lower, upper) -> np.ndarray:
     """
     k = upper * (upper - 1) - lower * (lower - 1)
     head = np.round(fractions * 2.0**20) / 2.0**20
-    turns = np.mod(head * k, 2.0)
+    turns = head * k
+    # turns mod 2 = turns - 2 floor(turns / 2), exact on the lattice and
+    # cheaper than np.mod; in place, so one array is held beside turns
+    wraps = np.multiply(turns, 0.5)
+    np.floor(wraps, out=wraps)
+    wraps *= 2.0
+    turns -= wraps
     turns += (fractions - head) * k
     return turns
 

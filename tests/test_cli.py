@@ -151,7 +151,7 @@ class TestFigureCommand:
         want = {f"{s}.csv": 2 + 41 * 41 for s in portraits}
         want.update({f"{s}.dat": 1 + 41 for s in portraits})
         want.update({f"{s}.csv": 8 + 41 for s in moments})
-        want.update({f"{s}.csv": 10 + 41 for s in renyi})
+        want.update({f"{s}.csv": 12 + 41 for s in renyi})
         assert len(want) == 25
         got = {f.name: len(f.read_text().splitlines()) for f in tmp_path.iterdir()}
         assert sorted(got) == sorted(want)
@@ -267,8 +267,8 @@ class TestMain:
         assert cli.main(["validate"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert "[FAIL] Wigner field basics: ValueError: no field to count" in out
-        assert sum(line.startswith("[PASS] ") for line in out) == 11
-        assert out[-1] == "11/12 checks passed"
+        assert sum(line.startswith("[PASS] ") for line in out) == 12
+        assert out[-1] == "12/13 checks passed"
 
 
 def test_write_encodes_in_slices(tmp_path):

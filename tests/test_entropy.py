@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import trapezoid
 
 from kerrcat import (
     DensityProfile,
@@ -30,7 +30,14 @@ from kerrcat import (
     superposed_state,
 )
 import kerrcat.entropy as entropy_module
-from kerrcat.entropy import _simpson_weights, default_grid_for, oscillator_basis, uniform_grid
+from kerrcat.cli import _converged_renyi_sums
+from kerrcat.entropy import (
+    _quadrature_stride,
+    _trapezoid_weights,
+    default_grid_for,
+    oscillator_basis,
+    uniform_grid,
+)
 
 PARAMS = KerrParams(1.0)
 T_REV = PARAMS.t_rev
@@ -77,10 +84,17 @@ class TestWavefunctions:
         psi = position_wavefunction(s, x)
         ps = np.linspace(-4.0, 4.0, 21)
         direct = np.array(
-            [simpson(psi * np.exp(-1j * p * x), x=x) / math.sqrt(2 * math.pi) for p in ps]
+            [trapezoid(psi * np.exp(-1j * p * x), x=x) / math.sqrt(2 * math.pi) for p in ps]
         )
         got = momentum_wavefunction(s, ps)
         np.testing.assert_allclose(got, direct, atol=1e-6)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 137])
+    def test_basis_of_some_rows_is_those_rows_of_the_full_table(self, n_max):
+        x = uniform_grid(12.0)
+        full = oscillator_basis(n_max, x)
+        rows = np.concatenate([np.arange(0, n_max + 1, 3), np.arange(1, n_max + 1, 3)])
+        assert oscillator_basis(n_max, x, rows).tobytes() == full[rows].tobytes()
 
     @pytest.mark.parametrize("n", [100, 101, 150, 299])
     def test_momentum_phase_of_high_number_state_is_exact(self, n):
@@ -129,32 +143,101 @@ class TestRenyiEntropy:
 
         grid = np.linspace(-1.0, 1.0, 11)
         values = np.array([0, 0, 0.1, 0.5, 0.9, 1.2, 0.9, 0.5, 0.1, 0, 0], dtype=float)
-        shannon = -simpson(xlogy(values, values), x=grid)
+        shannon = -trapezoid(xlogy(values, values), x=grid)
         assert renyi_entropy(DensityProfile(grid, values), 1.0) == pytest.approx(shannon, abs=1e-15)
 
 
-class TestSimpsonWeights:
-    @pytest.mark.parametrize("points", [3, 5, 11, 2001, 3601])
-    def test_match_scipy_simpson(self, points):
-        # scipy's composite Simpson rule as an independent oracle
+class TestTrapezoidWeights:
+    @pytest.mark.parametrize("points", [2, 3, 5, 10, 11, 2001, 3601])
+    def test_match_scipy_trapezoid(self, points):
+        # scipy's trapezoid rule as an independent oracle
         x = np.linspace(-7.3, 5.1, points)
         f = np.exp(-0.5 * x * x) * (1.0 + 0.3 * np.cos(5.0 * x))
-        assert f @ _simpson_weights(x) == pytest.approx(simpson(f, x=x), rel=1e-14, abs=0)
+        assert f @ _trapezoid_weights(x) == pytest.approx(trapezoid(f, x=x), rel=1e-14, abs=0)
 
-    def test_density_total_matches_scipy_simpson(self):
+    def test_density_total_matches_scipy_trapezoid(self):
         d = position_density(coherent_state(3.0))
-        assert d.total() == pytest.approx(simpson(d.values, x=d.grid), rel=1e-14, abs=0)
+        assert d.total() == pytest.approx(trapezoid(d.values, x=d.grid), rel=1e-14, abs=0)
         assert d.total() == pytest.approx(1.0, abs=1e-12)
 
+    def test_density_profile_takes_an_even_point_count(self):
+        grid = np.linspace(0.0, 1.0, 10)
+        assert DensityProfile(grid, np.ones_like(grid)).total() == pytest.approx(1.0, abs=1e-15)
+
     @pytest.mark.parametrize("grid", [
-        np.linspace(0.0, 1.0, 10),                      # even point count
         np.array([0.0, 0.1, 0.3, 0.4, 0.5]),            # uneven spacing
         np.concatenate([np.linspace(0.0, 1.0, 11)[:-1], [1.001]]),
         np.zeros(5),                                    # no spacing
-    ], ids=["even-count", "uneven", "last-step-off", "zero-step"])
-    def test_density_profile_rejects_grids_simpson_cannot_take(self, grid):
+        np.zeros(1),                                    # no step at all
+    ], ids=["uneven", "last-step-off", "zero-step", "one-point"])
+    def test_density_profile_rejects_non_uniform_grids(self, grid):
         with pytest.raises(ValueError, match="grid"):
             DensityProfile(grid, np.ones_like(grid))
+
+
+class TestQuadratureGrids:
+    @pytest.mark.parametrize("order, stride", [(0.6, 1), (2 / 3, 1), (1.0, 1), (1.125, 2), (1.5, 2),
+                                               (2.0, 25), (2.0000000000000004, 25), (3.0, 16), (4.0, 12)])
+    def test_stride_of_each_order(self, order, stride):
+        # grid half-width X = 12.325 at step 0.005: the largest s with
+        # 0.005 s <= pi / (o X) for integer o
+        x = default_grid_for(superposed_state(SuperpositionSpec(2, 0, 20.0)))
+        assert x[-1] == pytest.approx(12.325, abs=1e-12)
+        assert _quadrature_stride(x, order) == stride
+
+    def test_stride_leaves_two_intervals_on_a_short_grid(self):
+        assert _quadrature_stride(np.linspace(-1.0, 1.0, 5), 2.0) == 2
+        assert _quadrature_stride(np.linspace(-1.0, 1.0, 3), 1.5) == 1
+
+    @pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_integer_order_on_the_sub_grid_is_the_full_grid_sum(self, l, eta):
+        # |phi|^(2 eta) is band-limited, so the trapezoid on the sub-grid of
+        # step about pi / (eta X) equals the one on every grid point
+        pair = RenyiPair(eta / (2 * eta - 1), eta)
+        for f in (1 / 12, 0.37):
+            s = evolve(superposed_state(SuperpositionSpec(l, 0, 20.0)), PARAMS, f * T_REV)
+            x = default_grid_for(s)
+            assert _quadrature_stride(x, eta) >= 10
+            full = (renyi_entropy(position_density(s, x), pair.zeta)
+                    + renyi_entropy(momentum_density(s, x), eta))
+            assert renyi_uncertainty_sum(s, pair) == pytest.approx(full, abs=1e-12)
+            swapped = RenyiPair(eta, pair.zeta)
+            full = (renyi_entropy(position_density(s, x), eta)
+                    + renyi_entropy(momentum_density(s, x), pair.zeta))
+            assert renyi_uncertainty_sum(s, swapped) == pytest.approx(full, abs=1e-12)
+
+    def test_quarter_turn_swaps_the_pair(self):
+        # turning the cat by pi/2 takes psi to phi and phi to psi(-x), so the
+        # (2, 2/3) series of the turned cat is the (2/3, 2) series of the cat
+        grid = TimeGrid.uniform(37, 0.0, 0.5)
+        for l in (1, 3):
+            spec = SuperpositionSpec(l, 0, 20.0, math.pi / 4)
+            turned = SuperpositionSpec(l, 0, 20.0, math.pi / 4 + math.pi / 2)
+            want = entropy_series(spec, PARAMS, grid, RenyiPair(2 / 3, 2.0))
+            got = entropy_series(turned, PARAMS, grid, RenyiPair(2.0, 2 / 3))
+            assert (got.meta["rho_step"], got.meta["gamma_step"]) == (want.meta["gamma_step"],
+                                                                      want.meta["rho_step"])
+            np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+
+    # 3-cat at nu = 30, the pairs zeta = 2/3, 0.6, 0.75 and 0.9 at eight times
+    # of the 396-case set (1, 2 and 3-cats at 33 times j/q <= 1/2, q <= 14);
+    # Simpson on the same grid reads worst 1.40e-5 (T_rev/4, zeta = 0.6) and
+    # median 2.4e-7 on these 32 cases
+    REFERENCE_TIMES = [1 / 12, 1 / 11, 1 / 10, 1 / 9, 1 / 6, 1 / 4, 2 / 7, 1 / 3]
+
+    def test_series_against_a_converged_reference(self):
+        spec = SuperpositionSpec(3, 0, 30.0, math.pi / 4)
+        grid = TimeGrid(np.array(self.REFERENCE_TIMES))
+        pairs = [RenyiPair.conjugate(z) for z in (2 / 3, 0.6, 0.75, 0.9)]
+        series = [entropy_series(spec, PARAMS, grid, pair) for pair in pairs]
+        state = superposed_state(spec, series[0].meta["n_max"])
+        errors = []
+        for i, f in enumerate(self.REFERENCE_TIMES):
+            want = _converged_renyi_sums(evolve(state, PARAMS, f * T_REV), pairs)
+            errors += [abs(s.values[i] - w) for s, w in zip(series, want)]
+        assert max(errors) < 1e-5
+        assert np.median(errors) < 1.5e-7
 
 
 class TestRenyiPair:
@@ -240,6 +323,8 @@ class TestEntropySeries:
         series = entropy_series(spec, PARAMS, TimeGrid.uniform(21, 0.0, 0.1), RenyiPair(2 / 3, 2.0))
         assert series.meta["zeta"] == pytest.approx(2 / 3)
         assert series.values.size == 21
+        # grid half-width sqrt(10) + 6 = 9.165: gamma^2 on every 34th point
+        assert (series.meta["rho_step"], series.meta["gamma_step"]) == (0.005, 34 * 0.005)
 
     # a non-uniform grid through f = 0 and f = 1; 9 and 2 samples make one
     # short block, 33 and 37 two full blocks of 16 and then a last block of 1
@@ -251,14 +336,17 @@ class TestEntropySeries:
         TimeGrid.uniform(37, 0.2, 1.0),
     ]
 
-    @pytest.mark.parametrize("pair", [RenyiPair(2 / 3, 2.0), RenyiPair(0.6, 3.0), RenyiPair(1.0, 1.0)],
-                             ids=["2/3-2", "0.6-3", "shannon"])
+    @pytest.mark.parametrize("pair", [RenyiPair(2 / 3, 2.0), RenyiPair(0.6, 3.0), RenyiPair(1.0, 1.0),
+                                      RenyiPair(2.0, 2 / 3)],
+                             ids=["2/3-2", "0.6-3", "shannon", "2-2/3"])
     @pytest.mark.parametrize("l, h", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0)])
     def test_matches_per_state_sums(self, l, h, pair):
-        # independent route: one evolved state at a time, complex projection on the
-        # full grid (the Simpson weights both routes share are checked against
-        # scipy's simpson above); (2, 0), (2, 1) and (4, 0) have a support of one
-        # parity, folded onto x >= 0, and (2, 1) is odd, with rho(0) = 0
+        # independent route: one evolved state at a time, complex amplitudes
+        # against the basis table of the whole grid (the trapezoid weights and
+        # sub-grids both routes share are checked above); (2, 0), (2, 1) and
+        # (4, 0) have a support of one parity, folded onto x >= 0, and (2, 1)
+        # is odd, with rho(0) = 0; the (2, 2/3) pair integrates rho on the
+        # sub-grid and gamma on every point
         spec = SuperpositionSpec(l, h, 12.0)
         for grid in self.CROSS_GRIDS:
             series = entropy_series(spec, PARAMS, grid, pair)
