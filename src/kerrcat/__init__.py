@@ -21,18 +21,16 @@ from .states import (
     normalization_n2,
     rotate_state,
     superposed_state,
-    superposed_state_from_components,
     superposition_norm,
     truncation_dim,
 )
 from .evolution import (
-    ANALYTIC_CASES,
     KerrParams,
     TimeGrid,
     TimeSeries,
     analytic_state_at,
     evolve,
-    rotation_angle,
+    revival_components,
 )
 from .moments import (
     HeadroomError,

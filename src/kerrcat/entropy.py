@@ -128,12 +128,6 @@ class RenyiPair:
         if abs(1.0 / self.zeta + 1.0 / self.eta - 2.0) > 1e-12:
             raise ValueError("pair must satisfy 1/zeta + 1/eta = 2")
 
-    @classmethod
-    def conjugate(cls, zeta: float) -> "RenyiPair":
-        if zeta <= 0.5:
-            raise ValueError("zeta must exceed 1/2 for a finite conjugate")
-        return cls(zeta, zeta / (2.0 * zeta - 1.0))
-
 
 @dataclass(frozen=True)
 class DensityProfile:

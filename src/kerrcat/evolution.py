@@ -3,8 +3,8 @@
 The propagator is diagonal in the number basis, c_n -> c_n exp(-i chi n(n-1) t).
 Every state revives exactly at multiples of the revival time T_rev = pi / chi
 because n(n-1) is always even.  At rational fractions of T_rev the evolved
-state is a discrete superposition of rotated copies of the initial one; the
-explicitly known cases are tabulated in ANALYTIC_CASES.
+state is a discrete superposition of rotated copies of the initial one;
+`revival_components` gives its weights and angles at any rational time.
 
 Every Kerr phase is exp(-i pi f k), f = t / T_rev and k an integer difference
 of n(n-1) values; `_half_turns` reduces f k mod 2 exactly from the integer k,
@@ -13,6 +13,8 @@ and `evolve`, `evolve_amplitudes` and `moments.moment_series` share it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ import numpy as np
 from .states import (
     FockState,
     SuperpositionSpec,
+    _check_tail,
     coherent_amplitudes,
     truncation_dim,
 )
@@ -135,87 +138,50 @@ def evolve_amplitudes(amplitudes: np.ndarray, params: KerrParams, times: np.ndar
     return amplitudes * _phase_factors(amplitudes.size, params.chi, np.asarray(times)[:, None])
 
 
-def rotation_angle(l: int, j: int) -> float:
-    """Rotation angle of the order-l cat at t = j T_rev / l^2.
+def revival_components(spec: SuperpositionSpec, frac) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, angles) of the cat at t = frac T_rev as a sum of coherent states.
 
-    At these times exp(-i pi j n(n-1)/l^2) restricted to n = l m reduces to a
-    phase linear in m, equivalent to the clockwise rotation
-    phi = pi j (l - 1) / l^2 (defined mod 2 pi / l).
+    The evolved amplitudes are coh_n(alpha) g(n), g(n) = exp(-i pi p n(n-1)/q)
+    [n = h (mod l)] for frac = p/q; g has period L = lcm(2q, l), so its DFT
+    b = FFT(g) / L gives g(n) = sum_r b_r exp(i n phi_r) and the state
+    sum_r b_r |alpha exp(i phi_r)>, phi_r = 2 pi r / L.  The Kerr phase is
+    reduced mod 2q in exact integers; components with |b_r| <= 1e-12 are
+    dropped.  frac must be a Fraction or an int: the float 0.1 is exactly
+    3602879701896397 / 2^55, whose table would hold 2^56 phases.
     """
-    return np.pi * j * (l - 1) / l**2
+    if not isinstance(frac, numbers.Rational):
+        raise TypeError(f"frac must be a Fraction or an int, got {frac!r}")
+    frac = Fraction(frac)
+    p, q = frac.numerator % (2 * frac.denominator), frac.denominator
+    size = math.lcm(2 * q, spec.l)
+    n = np.arange(size)
+    turns = (n * (n - 1) % (2 * q)) * p % (2 * q)
+    g = np.exp(-1j * np.pi * turns / q) * (n % spec.l == spec.h)
+    b = np.fft.fft(g) / size
+    keep = np.flatnonzero(np.abs(b) > 1e-12)
+    return b[keep], 2 * np.pi * keep / size
 
 
-_C1 = (1 - 1j) / 2
-_C2 = (1 + 1j) / 2
-_SQ2 = np.sqrt(2.0)
+def analytic_state_at(spec: SuperpositionSpec, frac, n_max: int | None = None) -> FockState:
+    """The cat of `spec` at t = frac T_rev, built from its `revival_components`.
 
-
-@dataclass(frozen=True)
-class AnalyticCase:
-    """A fractional-revival state with explicitly known component weights.
-
-    The state is sum_i w_i |alpha e^{i phi_i}>, normalized numerically.
+    Shares no phase code with `evolve`, so the two cross-check each other; at
+    frac = 0 it is the initial cat as a sum of l rotated coherent states.
+    Raises ValueError where the sum cancels to rounding.
     """
-
-    l: int
-    time_fraction: Fraction
-    weights: tuple
-    phases: tuple
-
-
-ANALYTIC_CASES: dict[str, AnalyticCase] = {
-    # initial coherent state, four-component superposition at T/4
-    "coherent@T/4": AnalyticCase(
-        1, Fraction(1, 4),
-        (1 - 1j, _SQ2, -(1 - 1j), _SQ2),
-        (np.pi / 4, -np.pi / 4, -3 * np.pi / 4, 3 * np.pi / 4),
-    ),
-    # two-component cat: rigid rotations at j T/4
-    "even2@T/4": AnalyticCase(2, Fraction(1, 4), (1, 1), (-np.pi / 4, -np.pi / 4 + np.pi)),
-    "even2@T/2": AnalyticCase(2, Fraction(1, 2), (1, 1), (np.pi / 2, 3 * np.pi / 2)),
-    "even2@3T/4": AnalyticCase(2, Fraction(3, 4), (1, 1), (np.pi / 4, np.pi / 4 + np.pi)),
-    # two-component cat: superposition of two rotated cats at T/8
-    "even2@T/8": AnalyticCase(
-        2, Fraction(1, 8),
-        (_C1, _C1, _C2, _C2),
-        (np.pi / 8, np.pi / 8 + np.pi, -3 * np.pi / 8, -3 * np.pi / 8 + np.pi),
-    ),
-    # three-component cat: rigid rotation at T/9
-    "even3@T/9": AnalyticCase(
-        3, Fraction(1, 9), (1, 1, 1), (-8 * np.pi / 9, -2 * np.pi / 9, 4 * np.pi / 9),
-    ),
-    # three-component cat: two rotated copies at T/18
-    "even3@T/18": AnalyticCase(
-        3, Fraction(1, 18),
-        (_C1, _C1, _C1, _C2, _C2, _C2),
-        (-11 * np.pi / 18, np.pi / 18, 13 * np.pi / 18,
-         -17 * np.pi / 18, -5 * np.pi / 18, 7 * np.pi / 18),
-    ),
-    # four-component cat: two rotated copies at T/32
-    "even4@T/32": AnalyticCase(
-        4, Fraction(1, 32),
-        (_C1, _C1, _C1, _C1, _C2, _C2, _C2, _C2),
-        tuple(np.pi * m / 32 for m in (-31, -15, 1, 17, -23, -7, 9, 25)),
-    ),
-}
-
-
-def analytic_state_at(spec: SuperpositionSpec, case: str, n_max: int | None = None) -> FockState:
-    """Fock representation of a tabulated fractional-revival superposition.
-
-    `spec` supplies nu and theta and must carry the l the case belongs to
-    (h = 0 only).  The returned state matches evolve(initial, t) at the
-    case's time to fidelity 1 - 1e-10 or better.
-    """
-    try:
-        entry = ANALYTIC_CASES[case]
-    except KeyError:
-        raise KeyError(f"unknown analytic case {case!r}; known: {sorted(ANALYTIC_CASES)}") from None
-    if spec.l != entry.l or spec.h != 0:
-        raise ValueError(f"case {case} requires l={entry.l}, h=0; got l={spec.l}, h={spec.h}")
+    weights, angles = revival_components(spec, frac)
     if n_max is None:
         n_max = truncation_dim(spec.nu)
-    acc = np.zeros(n_max + 1, dtype=np.complex128)
-    for w, phi in zip(entry.weights, entry.phases):
-        acc += w * coherent_amplitudes(spec.alpha * np.exp(1j * phi), n_max)
-    return FockState(acc / np.linalg.norm(acc))
+    n = np.arange(n_max + 1)
+    acc = coherent_amplitudes(spec.alpha, n_max) * (np.exp(1j * np.outer(n, angles)) @ weights)
+    nrm = np.linalg.norm(acc)
+    # off n = h (mod l) the sum cancels to rounding, about 1e-16 of the largest
+    # coherent amplitude; a cat whose support holds less than that (nu = 0, or
+    # a tiny nu with h > 0) is lost in it, as is a sum that vanishes outright
+    leak = np.linalg.norm(acc[n % spec.l != spec.h])
+    if not leak < 1e-6 * nrm:
+        raise ValueError(f"component sum of l={spec.l}, h={spec.h}, nu={spec.nu} vanishes "
+                         f"below its rounding ({leak:.1e} off its support, norm {nrm:.1e})")
+    amp = acc / nrm
+    _check_tail(amp, f"analytic_state_at(l={spec.l}, h={spec.h}, frac={frac})")
+    return FockState(amp)

@@ -196,26 +196,6 @@ def superposed_state(spec: SuperpositionSpec, n_max: int | None = None) -> FockS
     return FockState(amp)
 
 
-def superposed_state_from_components(spec: SuperpositionSpec, n_max: int | None = None) -> FockState:
-    """Same state as `superposed_state`, built as the phase-weighted sum of l coherent states.
-
-    Kept as an independent construction route; the two must agree to
-    fidelity 1 - 1e-12, which the test suite enforces.
-    """
-    if n_max is None:
-        n_max = truncation_dim(spec.nu)
-    acc = np.zeros(n_max + 1, dtype=np.complex128)
-    for r in range(spec.l):
-        weight = np.exp(-2j * np.pi * r * spec.h / spec.l)
-        acc += weight * coherent_amplitudes(spec.alpha * np.exp(2j * np.pi * r / spec.l), n_max)
-    nrm = np.linalg.norm(acc)
-    if nrm == 0:
-        raise ValueError("component sum vanishes; degenerate spec")
-    amp = acc / nrm
-    _check_tail(amp, f"superposed_state_from_components(l={spec.l}, h={spec.h})")
-    return FockState(amp)
-
-
 def superposition_norm(l: int, nu: float) -> float:
     """Normalization constant N_l of the order-l cat (h = 0).
 

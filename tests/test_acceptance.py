@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from kerrcat import (
-    ANALYTIC_CASES,
     FockState,
     KerrParams,
     RenyiPair,
@@ -95,21 +94,24 @@ def test_criterion_1_exact_revival():
 
 
 def test_criterion_2_fractional_revival_superpositions():
+    # the component sum at every reduced j/q in [0, 1], q <= 32, for the 1- to
+    # 4-cats, against the propagated cat
+    fracs = sorted({Fraction(j, q) for q in range(1, 33) for j in range(q + 1)})
+    n_max = truncation_dim(20.0)
     start = time.perf_counter()
-    worst = 1.0
-    for case, entry in sorted(ANALYTIC_CASES.items()):
-        spec = SuperpositionSpec(entry.l, 0, 20.0)
-        n_max = truncation_dim(20.0)
-        target = analytic_state_at(spec, case, n_max)
-        evolved = evolve(superposed_state(spec, n_max), PARAMS,
-                         float(entry.time_fraction) * T_REV)
-        f = fidelity(evolved, target)
-        assert f >= 1 - 1e-10, case
-        worst = min(worst, f)
+    worst, count = 1.0, 0
+    for l in (1, 2, 3, 4):
+        spec = SuperpositionSpec(l, 0, 20.0)
+        initial = superposed_state(spec, n_max)
+        for frac in fracs:
+            f = fidelity(evolve(initial, PARAMS, float(frac) * T_REV),
+                         analytic_state_at(spec, frac, n_max))
+            assert f >= 1 - 1e-10, (l, frac)
+            worst, count = min(worst, f), count + 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
-    report(2, f"{len(ANALYTIC_CASES)} explicit superpositions, min fidelity "
-              f"{worst:.15g}, {elapsed:.2f} s")
+    report(2, f"{count} fractional-revival superpositions, min fidelity "
+              f"{worst:.17g}, {elapsed:.2f} s")
 
 
 def test_criterion_3_closed_form_oracle_agreement():
@@ -341,7 +343,7 @@ def test_criterion_9_mutation_sensitivity():
     # conjugated phase: the quarter-revival superposition comes out rotated
     # the wrong way and the analytic-state criterion must reject it
     flipped = FockState(base.amplitudes * np.exp(+1j * n * (n - 1.0) * T_REV / 4))
-    ana_fid = fidelity(flipped, analytic_state_at(spec, "coherent@T/4", n_max))
+    ana_fid = fidelity(flipped, analytic_state_at(spec, Fraction(1, 4), n_max))
     assert ana_fid < 0.9
 
     report(9, f"n^2 spectrum leaves revival fidelity {rev_fid:.2e}; sign flip "

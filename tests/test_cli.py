@@ -259,6 +259,16 @@ class TestMain:
     def test_validate_passes(self):
         assert run_validate() == 0
 
+    def test_validate_rejects_a_conjugated_propagator(self, monkeypatch, capsys):
+        # evolve turned the wrong way lands on the component sum of -j/q
+        orig = kerrcat.evolution._phase_factors
+        monkeypatch.setattr(kerrcat.evolution, "_phase_factors",
+                            lambda dim, chi, t: np.conj(orig(dim, chi, t)))
+        assert cli.main(["validate"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("[FAIL] fractional-revival superpositions: analytic-state fidelity")
+                   for line in out)
+
     def test_validate_records_an_error_and_runs_on(self, monkeypatch, capsys):
         def broken(field):
             raise ValueError("no field to count")

@@ -229,7 +229,7 @@ class TestQuadratureGrids:
     def test_series_against_a_converged_reference(self):
         spec = SuperpositionSpec(3, 0, 30.0, math.pi / 4)
         grid = TimeGrid(np.array(self.REFERENCE_TIMES))
-        pairs = [RenyiPair.conjugate(z) for z in (2 / 3, 0.6, 0.75, 0.9)]
+        pairs = [RenyiPair(z, z / (2 * z - 1)) for z in (2 / 3, 0.6, 0.75, 0.9)]
         series = [entropy_series(spec, PARAMS, grid, pair) for pair in pairs]
         state = superposed_state(spec, series[0].meta["n_max"])
         errors = []
@@ -247,23 +247,20 @@ class TestRenyiPair:
         with pytest.raises(ValueError):
             RenyiPair(2 / 3, 3.0)
 
+    def test_rejects_non_positive_orders(self):
+        # 1/zeta + 1/eta = 2 holds, but zeta < 0
+        with pytest.raises(ValueError, match="positive"):
+            RenyiPair(-0.5, 0.25)
+
     @pytest.mark.parametrize("make", [
         lambda: RenyiPair(math.nan, math.nan),
         lambda: RenyiPair(math.inf, 0.5),
         lambda: RenyiPair(0.5, math.inf),
         lambda: RenyiPair(-math.inf, 0.5),
-        lambda: RenyiPair.conjugate(math.nan),
-        lambda: RenyiPair.conjugate(math.inf),
-    ], ids=["nan-nan", "inf-half", "half-inf", "-inf-half", "conjugate-nan", "conjugate-inf"])
+    ], ids=["nan-nan", "inf-half", "half-inf", "-inf-half"])
     def test_rejects_non_finite_orders(self, make):
         with pytest.raises(ValueError, match="finite"):
             make()
-
-    def test_conjugate_constructor(self):
-        pair = RenyiPair.conjugate(3 / 4)
-        assert pair.eta == pytest.approx(1.5, abs=1e-15)
-        with pytest.raises(ValueError):
-            RenyiPair.conjugate(0.5)
 
     def test_bound_values(self):
         assert renyi_bound(RenyiPair(1.0, 1.0)) == pytest.approx(1 + math.log(math.pi), abs=1e-14)

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from kerrcat import (
-    ANALYTIC_CASES,
+    FockState,
     KerrParams,
     SuperpositionSpec,
     TimeGrid,
@@ -14,12 +17,13 @@ from kerrcat import (
     coherent_state,
     evolve,
     fidelity,
+    revival_components,
     rotate_state,
-    rotation_angle,
     superposed_state,
     truncation_dim,
 )
 from kerrcat.evolution import _phase_factors, evolve_amplitudes
+from kerrcat.states import coherent_amplitudes
 
 PARAMS = KerrParams(1.0)
 T_REV = PARAMS.t_rev
@@ -91,25 +95,119 @@ class TestExactPhase:
             assert np.array_equal(row, evolve(s, PARAMS, t).amplitudes)
 
 
+_C1, _C2, _SQ2 = (1 - 1j) / 2, (1 + 1j) / 2, math.sqrt(2.0)
+
+# hand-derived fractional-revival superpositions of the h = 0 cats, as
+# (l, t / T_rev, weights, angles): the state is sum_i w_i |alpha e^{i phi_i}>
+HAND_CASES = {
+    # coherent state: four components at T/4
+    "coherent@T/4": (1, Fraction(1, 4), (1 - 1j, _SQ2, -(1 - 1j), _SQ2),
+                     (np.pi / 4, -np.pi / 4, -3 * np.pi / 4, 3 * np.pi / 4)),
+    # 2-cat: rigid rotations at j T/4, two rotated cats at T/8
+    "even2@T/4": (2, Fraction(1, 4), (1, 1), (-np.pi / 4, -np.pi / 4 + np.pi)),
+    "even2@T/2": (2, Fraction(1, 2), (1, 1), (np.pi / 2, 3 * np.pi / 2)),
+    "even2@3T/4": (2, Fraction(3, 4), (1, 1), (np.pi / 4, np.pi / 4 + np.pi)),
+    "even2@T/8": (2, Fraction(1, 8), (_C1, _C1, _C2, _C2),
+                  (np.pi / 8, np.pi / 8 + np.pi, -3 * np.pi / 8, -3 * np.pi / 8 + np.pi)),
+    # 3-cat: rigid rotation at T/9, two rotated cats at T/18
+    "even3@T/9": (3, Fraction(1, 9), (1, 1, 1), (-8 * np.pi / 9, -2 * np.pi / 9, 4 * np.pi / 9)),
+    "even3@T/18": (3, Fraction(1, 18), (_C1, _C1, _C1, _C2, _C2, _C2),
+                   (-11 * np.pi / 18, np.pi / 18, 13 * np.pi / 18,
+                    -17 * np.pi / 18, -5 * np.pi / 18, 7 * np.pi / 18)),
+    # 4-cat: two rotated cats at T/32
+    "even4@T/32": (4, Fraction(1, 32), (_C1, _C1, _C1, _C1, _C2, _C2, _C2, _C2),
+                   tuple(np.pi * m / 32 for m in (-31, -15, 1, 17, -23, -7, 9, 25))),
+}
+
+
+def _hand_state(spec, weights, angles, n_max):
+    acc = sum(w * coherent_amplitudes(spec.alpha * np.exp(1j * phi), n_max)
+              for w, phi in zip(weights, angles))
+    return FockState(acc / np.linalg.norm(acc))
+
+
 class TestAnalyticStates:
-    @pytest.mark.parametrize("case", sorted(ANALYTIC_CASES))
+    @pytest.mark.parametrize("case", sorted(HAND_CASES))
     def test_matches_exact_evolution(self, case):
-        entry = ANALYTIC_CASES[case]
-        spec = SuperpositionSpec(entry.l, 0, 20.0)
+        l, frac, weights, angles = HAND_CASES[case]
+        spec = SuperpositionSpec(l, 0, 20.0)
         n_max = truncation_dim(20.0)
-        target = analytic_state_at(spec, case, n_max)
-        evolved = evolve(
-            superposed_state(spec, n_max), PARAMS, float(entry.time_fraction) * T_REV
-        )
+        target = analytic_state_at(spec, frac, n_max)
+        evolved = evolve(superposed_state(spec, n_max), PARAMS, float(frac) * T_REV)
         assert fidelity(evolved, target) >= 1 - 1e-10
+        # the DFT route finds the hand derivation's components, no more
+        assert len(revival_components(spec, frac)[0]) == len(weights)
+        assert fidelity(_hand_state(spec, weights, angles, n_max), target) >= 1 - 1e-12
 
     def test_unknown_case(self):
-        with pytest.raises(KeyError, match="unknown analytic case"):
-            analytic_state_at(SuperpositionSpec(1, 0, 20.0), "even9@T/7")
+        # a float is no exact time: Fraction(0.1) has a denominator of 2^55,
+        # and the route would tabulate 2^56 phases
+        spec = SuperpositionSpec(1, 0, 20.0)
+        with pytest.raises(TypeError, match="got 0.1"):
+            analytic_state_at(spec, 0.1)
+        with pytest.raises(TypeError, match="0.25"):
+            revival_components(spec, np.float64(0.25))
 
     def test_wrong_order_rejected(self):
-        with pytest.raises(ValueError, match="requires l=2"):
-            analytic_state_at(SuperpositionSpec(3, 0, 20.0), "even2@T/8")
+        # the superposition depends on l: the 2-cat's state at T/8 is far
+        # from the 3-cat's, which the route builds from the spec's l
+        _, frac, weights, angles = HAND_CASES["even2@T/8"]
+        spec = SuperpositionSpec(3, 0, 20.0)
+        n_max = truncation_dim(20.0)
+        assert fidelity(_hand_state(spec, weights, angles, n_max),
+                        analytic_state_at(spec, frac, n_max)) < 0.5
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_matches_evolve_at_every_reduced_time(self, l):
+        # every j/q in [0, 1], q <= 32, from every progression offset h
+        fracs = sorted({Fraction(j, q) for q in range(1, 33) for j in range(q + 1)})
+        n_max = truncation_dim(20.0)
+        for h in range(l):
+            spec = SuperpositionSpec(l, h, 20.0)
+            s = superposed_state(spec, n_max)
+            for frac in fracs:
+                evolved = evolve(s, PARAMS, float(frac) * T_REV)
+                assert fidelity(evolved, analytic_state_at(spec, frac, n_max)) >= 1 - 1e-12, (h, frac)
+
+    def test_degenerate_spec_raises(self):
+        # at nu = 0 every component is the vacuum, which h > 0 cancels; at
+        # nu = 1e-30 the 4-cat's |3> amplitude, 4e-46, lies below the rounding
+        # of that cancellation at |0>, and the sum would be the wrong state
+        with pytest.raises(ValueError, match="vanishes"):
+            analytic_state_at(SuperpositionSpec(2, 1, 0.0), 0)
+        with pytest.raises(ValueError, match="vanishes"):
+            analytic_state_at(SuperpositionSpec(4, 3, 1e-30), Fraction(1, 8))
+
+
+class TestRevivalComponents:
+    def test_l_k_components_at_every_sub_packet_time(self):
+        # the l-cat splits into k sub-packets of l components each at
+        # j/(l^2 k), gcd(j, l^2 k) = 1; the coherent state into k at j/k
+        times = 0
+        for l in (1, 2, 3, 4):
+            for k in (1, 2, 3, 4):
+                den = l * l * k if l > 1 else k
+                for j in range(1, den // 2 + 1):
+                    if math.gcd(j, den) == 1:
+                        weights, _ = revival_components(SuperpositionSpec(l), Fraction(j, den))
+                        assert weights.size == l * k, (l, k, j)
+                        times += 1
+        assert times == 69
+
+    @pytest.mark.parametrize("l", [2, 3, 4])
+    def test_rigid_rotation_at_every_j(self, l):
+        for j in range(1, l * l):
+            weights, angles = revival_components(SuperpositionSpec(l), Fraction(j, l * l))
+            assert weights.size == l
+            np.testing.assert_allclose(np.abs(weights), 1 / l, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(np.diff(angles), 2 * np.pi / l, rtol=0, atol=1e-14)
+
+
+def _rotation_from_components(l, j):
+    """Clockwise turn (mod 2 pi / l) of the l-cat at j T_rev / l^2, read off
+    its components: rotate_state by phi moves the label alpha to alpha e^{-i phi}."""
+    _, angles = revival_components(SuperpositionSpec(l), Fraction(j, l * l))
+    return -angles[0] % (2 * np.pi / l)
 
 
 def _best_rotation(initial, evolved, l):
@@ -134,7 +232,7 @@ class TestRotationSchedule:
         s = superposed_state(spec)
         for j in range(1, l * l):
             evolved = evolve(s, PARAMS, j * T_REV / l**2)
-            rotated = rotate_state(s, rotation_angle(l, j))
+            rotated = rotate_state(s, _rotation_from_components(l, j))
             assert fidelity(evolved, rotated) >= 1 - 1e-10, (l, j)
 
     @pytest.mark.parametrize("l,j", [(2, 1), (3, 1), (3, 2), (4, 3)])
@@ -145,14 +243,14 @@ class TestRotationSchedule:
         best_fid, best_phi = _best_rotation(s, evolved, l)
         assert best_fid > 1 - 1e-8
         period = 2 * np.pi / l
-        expected = rotation_angle(l, j) % period
+        expected = _rotation_from_components(l, j)
         delta = min(abs(best_phi - expected), period - abs(best_phi - expected))
         assert delta < 1e-5
 
     def test_order3_first_rotation_is_40_degrees(self):
         # the scan pins the t = T_rev/9 rotation of the 3-cat at 2 pi / 9,
-        # i.e. 40 degrees clockwise
-        assert rotation_angle(3, 1) == pytest.approx(2 * np.pi / 9, abs=1e-15)
+        # i.e. 40 degrees clockwise: pi j (l - 1) / l^2 at l = 3, j = 1
+        assert _rotation_from_components(3, 1) == pytest.approx(2 * np.pi / 9, abs=1e-15)
 
 
 def test_time_series_csv_format():

@@ -13,6 +13,7 @@ def test_library_sketch_runs():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     scope = {}
     exec(compile(code, str(README), "exec"), scope)
+    assert scope["weights"].size == scope["angles"].size == 4
     detected = scope["detect_bursts"](scope["series"])
     predicted = [float(f) for f in scope["visible_burst_times"](2, 4)]
     assert len(detected) == len(predicted)

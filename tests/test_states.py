@@ -15,8 +15,8 @@ from kerrcat import (
     mean_photon_number,
     normalization_n2,
     rotate_state,
+    analytic_state_at,
     superposed_state,
-    superposed_state_from_components,
     superposition_norm,
     truncation_dim,
 )
@@ -83,20 +83,23 @@ class TestSuperposedState:
         assert superposition_norm(l, nu) == pytest.approx(n_l, rel=1e-12)
 
     def test_construction_routes_agree(self):
+        # the number-state progression against the sum of l rotated coherent states
         for l in (2, 3, 4, 5):
-            spec = SuperpositionSpec(l, 0, 20.0)
-            f = fidelity(superposed_state(spec), superposed_state_from_components(spec))
-            assert f >= 1 - 1e-12
+            for h in range(l):
+                spec = SuperpositionSpec(l, h, 20.0)
+                f = fidelity(superposed_state(spec), analytic_state_at(spec, 0))
+                assert f >= 1 - 1e-12, (l, h)
 
     @settings(max_examples=25, deadline=None)
     @given(
         l=st.integers(1, 5),
+        h=st.integers(0, 4),
         nu=st.floats(0.1, 100.0),
         theta=st.floats(-np.pi, np.pi),
     )
-    def test_construction_equivalence_property(self, l, nu, theta):
-        spec = SuperpositionSpec(l, 0, nu, theta)
-        assert fidelity(superposed_state(spec), superposed_state_from_components(spec)) >= 1 - 1e-12
+    def test_construction_equivalence_property(self, l, h, nu, theta):
+        spec = SuperpositionSpec(l, h % l, nu, theta)
+        assert fidelity(superposed_state(spec), analytic_state_at(spec, 0)) >= 1 - 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(l=st.integers(1, 5), h=st.integers(0, 4), nu=st.floats(0.5, 60.0))

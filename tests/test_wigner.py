@@ -1,13 +1,13 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from kerrcat import (
-    ANALYTIC_CASES,
     FockState,
     GridCoverageWarning,
     KerrParams,
@@ -20,6 +20,7 @@ from kerrcat import (
     momentum_density,
     position_density,
     position_wavefunction,
+    revival_components,
     superposed_state,
     wigner_field,
 )
@@ -116,9 +117,9 @@ class TestPointwiseOracles:
         spec = SuperpositionSpec(4, 0, 30.0)
         state = evolve(superposed_state(spec), PARAMS, T_REV / 32)
         field = wigner_field(state, default_grid(state, 201))
-        case = ANALYTIC_CASES["even4@T/32"]
-        labels = [spec.alpha * np.exp(1j * phi) for phi in case.phases]
-        closed_form_check(field, lambda x, p: coherent_sum_wigner(case.weights, labels, x, p), 1e-12)
+        weights, angles = revival_components(spec, Fraction(1, 32))
+        labels = spec.alpha * np.exp(1j * angles)
+        closed_form_check(field, lambda x, p: coherent_sum_wigner(weights, labels, x, p), 1e-12)
 
 
 class TestField:
