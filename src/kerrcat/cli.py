@@ -31,6 +31,7 @@ from .evolution import (
     TimeGrid,
     analytic_state_at,
     evolve,
+    revival_components,
 )
 from .entropy import (
     DEFAULT_GRID_PAD,
@@ -495,10 +496,16 @@ def _validate_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
         err = np.max(np.abs(fld.values - np.exp(-x * x - p * p) / math.pi))
         assert err < 1e-10, f"vacuum field off exp(-x^2-p^2)/pi by {err}"
         assert abs(fld.integral() - 1) < 1e-3, f"normalization {fld.integral()}"
-        state = evolve(coherent_state(20.0), params, t_rev / 4)
-        lobes = count_lobes(wigner_field(state, default_grid(state, 201)))
-        assert lobes == 4, f"expected 4 lobes, found {lobes}"
-        return f"vacuum field error {err:.1e}, 4-lobe portrait"
+        # the l-cat splits into l k packets at j/(l^2 k), gcd(j, l^2 k) = 1
+        times = [(l, Fraction(j, l * l * k)) for l in range(1, 5) for k in range(1, 5)
+                 for j in range(1, l * l * k // 2 + 1) if math.gcd(j, l * l * k) == 1]
+        for l, frac in times:
+            spec = SuperpositionSpec(l, 0, 40.0)
+            want = revival_components(spec, frac)[0].size
+            state = evolve(superposed_state(spec), params, float(frac) * t_rev)
+            lobes = count_lobes(wigner_field(state, default_grid(state, 101)))
+            assert lobes == want, f"{l}-cat at {frac} T_rev: {lobes} lobes, {want} packets"
+        return f"vacuum field error {err:.1e}, packets counted at {len(times)} times"
 
     checks.append(_check("Wigner field basics", wigner_quick))
 

@@ -32,11 +32,11 @@ writes only possible rounding ties and |W| <= 1e-280), and both texts are
 assembled from those rows; the writer called first holds the other text on
 the field until the other writer takes it.
 
-`count_lobes` blurs W with a Gaussian of width 1/2 in x and p, as two banded
-matrices with reflecting edges (the taps and the edge rule of
-`scipy.ndimage.gaussian_filter`, truncated at 4 sigma), and counts the
-4-connected regions above half the blurred maximum, numbered in raster order
-as `scipy.ndimage.label` numbers them.
+`count_lobes` counts the maxima of the Husimi Q above half its maximum.  Q is
+W blurred by the vacuum W, a Gaussian of width 1/sqrt(2) in x and p, applied
+as two banded matrices with reflecting edges (the taps and the edge rule of
+`scipy.ndimage.gaussian_filter`, truncated at 4 sigma); a maximum is a point
+above its 8 neighbours, a tie going to the first in raster order.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ DEFAULT_POINTS = 401
 DEFAULT_PAD = 5.0
 _SUPPORT_EPS = 1e-14  # amplitudes below this share of the largest do not widen R
 _TAIL = 6.0  # the vacuum W, exp(-r^2)/pi, falls below 1e-16 at r = 6.07
-_LOBE_BLUR = 0.5  # phase-space scale of the coarse-graining that counts lobes
-_LOBE_LEVEL = 0.5  # share of the coarse-grained maximum a lobe rises above
 
 
 class GridCoverageWarning(UserWarning):
@@ -198,61 +196,35 @@ def _blur_matrix(n: int, sigma: float) -> np.ndarray:
     return np.bincount(flat, np.tile(taps, n), minlength=n * n).reshape(n, n)
 
 
-def _label_regions(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """4-connected regions of a boolean image, labelled 1.. in raster order of their first pixel.
+def _husimi_peaks(field: PhaseSpaceField) -> tuple[np.ndarray, np.ndarray]:
+    """Husimi Q of the field and the flat indices of its lobe peaks.
 
-    Each row splits into runs of set pixels; a run joins every run of the row
-    above whose columns overlap it.  The runs and their overlaps come from
-    whole-image operations, and a union-find over the runs merges them.
-    """
-    n_cols = mask.shape[1] + 1  # one separator column keeps runs inside their rows
-    flips = np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False))
-    starts, stops = flips[0::2], flips[1::2]  # run [start, stop) at flat position row * n_cols + col
-    # runs of the row above that overlap run b: stop > start_b - n_cols and start < stop_b - n_cols
-    first = np.searchsorted(stops, starts - n_cols, side="right")
-    counts = np.maximum(np.searchsorted(starts, stops - n_cols) - first, 0)
-    below = np.repeat(np.arange(starts.size), counts)
-    above = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(below.size)
-    root = list(range(starts.size))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    for a, b in zip(above.tolist(), below.tolist()):
-        ra, rb = find(a), find(b)
-        root[max(ra, rb)] = min(ra, rb)  # a region's root is its first run in raster order
-    firsts, run_labels = np.unique([find(i) for i in range(starts.size)], return_inverse=True)
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    labels[mask] = np.repeat(run_labels + 1, stops - starts)
-    return labels, firsts.size
-
-
-def _lobe_labels(field: PhaseSpaceField):
-    """Coarse-grained W, its lobe labels and the lobe count.
-
-    Interference fringes oscillate with wavelength 2 pi / separation and
-    average to zero under a blur wider than that wavelength; coherent lobes
-    (unit-scale Gaussians) survive.  The blur must stay below the lobe
-    separation, which holds for fringe-free counting whenever the components
-    sit on a circle of radius >> 1.
+    Q is W convolved with the vacuum W, exp(-x^2 - p^2)/pi, a Gaussian of
+    width 1/sqrt(2) in x and in p, so Q(x, p) = |<beta|psi>|^2 / (2 pi) at
+    beta = (x + ip)/sqrt(2).  Each coherent component leaves a Gaussian lobe
+    of unit width, and the fringes between two components a distance d apart
+    fall to exp(-d^2/8) of it.  A peak is a point above half the maximum of Q
+    that is strictly above its neighbours earlier in raster order and not
+    below the later ones, so an exact tie counts once.
     """
     cx, cp = field.grid.cell
-    smooth = (_blur_matrix(field.grid.n_x, _LOBE_BLUR / cx) @ field.values
-              @ _blur_matrix(field.grid.n_p, _LOBE_BLUR / cp).T)
-    labels, count = _label_regions(smooth > _LOBE_LEVEL * smooth.max())
-    return smooth, labels, count
+    width = math.sqrt(0.5)
+    q = (_blur_matrix(field.grid.n_x, width / cx) @ field.values
+         @ _blur_matrix(field.grid.n_p, width / cp).T)
+    cols = q.shape[1] + 2
+    padded = np.pad(q, 1, constant_values=-np.inf).ravel()
+    top = np.flatnonzero(padded > 0.5 * q.max())
+    for before in (cols + 1, cols, cols - 1, 1):  # flat offsets of the earlier neighbours
+        top = top[(padded[top] > padded[top - before]) & (padded[top] >= padded[top + before])]
+    return q, (top // cols - 1) * q.shape[1] + top % cols - 1
 
 
 def count_lobes(field: PhaseSpaceField) -> int:
-    """Number of coherent lobes: regions above half the coarse-grained maximum.
+    """Number of coherent lobes: the peaks of the Husimi Q above half its maximum.
 
     Thresholding the raw field would fail: where several pairwise fringe
     patterns stack (the origin of a four-component superposition) raw |W|
     exceeds the lobe height several times over, so half the raw maximum can
-    sit above every lobe.  After coarse-graining the lobes are the only
-    survivors and the half-max threshold is meaningful.
+    sit above every lobe.  In Q the lobes are the only survivors.
     """
-    _, _, count = _lobe_labels(field)
-    return int(count)
+    return len(_husimi_peaks(field)[1])

@@ -25,7 +25,7 @@ from kerrcat import (
     wigner_field,
 )
 from kerrcat import textfmt
-from kerrcat.wigner import _blur_matrix, _label_regions, _lobe_labels, default_grid
+from kerrcat.wigner import _blur_matrix, _husimi_peaks, default_grid
 from wigner_checks import lobe_peaks, rotation_symmetry_defect, wigner_marginals
 
 PARAMS = KerrParams(1.0)
@@ -70,6 +70,30 @@ def coherent_sum_wigner(weights, labels, x, p):
         for c in range(b.size):
             total += pair[a, c] * np.exp(-2.0 * (z - b[a]) * (z.conj() - b[c].conj()))
     return (total / pair.sum()).real / np.pi
+
+
+def husimi_closed_form(state, x, p):
+    """Q(x, p) = |<beta|psi>|^2 / (2 pi) at beta = (x + ip)/sqrt(2), summed over the
+    Fock amplitudes: <beta|n> = exp(-|beta|^2 / 2) beta*^n / sqrt(n!)."""
+    beta = (x + 1j * p) / math.sqrt(2.0)
+    term = np.exp(-0.5 * np.abs(beta) ** 2).astype(complex)
+    total = np.zeros_like(term)
+    for n, c in enumerate(state.amplitudes):
+        total += c * term
+        term = term * beta.conj() / math.sqrt(n + 1)
+    return np.abs(total) ** 2 / (2.0 * np.pi)
+
+
+def sub_packet_times():
+    """(l, k, j/(l^2 k)) at every reduced k-sub-packet time t <= T_rev/2, k <= 4."""
+    return [(l, k, Fraction(j, l * l * k)) for l in (1, 2, 3, 4) for k in (1, 2, 3, 4)
+            for j in range(1, l * l * k // 2 + 1) if math.gcd(j, l * l * k) == 1]
+
+
+def largest_neighbour_overlap(spec, angles):
+    """max |<beta_a|beta_b>| = exp(-|beta_a - beta_b|^2 / 2) over neighbouring components."""
+    gaps = np.diff(np.append(angles, angles[0] + 2 * np.pi))
+    return math.exp(-2.0 * spec.nu * math.sin(gaps.min() / 2) ** 2)
 
 
 class TestPointwiseOracles:
@@ -292,6 +316,33 @@ class TestSymmetryAndLobes:
         field = wigner_field(state, default_grid(state, 301))
         assert count_lobes(field) == expected
 
+    @pytest.mark.parametrize("nu", [20.0, 40.0])
+    def test_lobe_counts_at_every_sub_packet_time(self, nu):
+        # the l-cat splits into l k packets; where neighbouring packets overlap
+        # by more than 0.1 (the 4-cat at k = 4, nu = 20: 1.75 apart, overlap
+        # 0.22) no lobe count can resolve them, so those times are unresolved
+        resolved, unresolved = [], []
+        for l, k, frac in sub_packet_times():
+            spec = SuperpositionSpec(l, 0, nu)
+            weights, angles = revival_components(spec, frac)
+            assert weights.size == l * k
+            state = evolve(superposed_state(spec), PARAMS, float(frac) * T_REV)
+            got = count_lobes(wigner_field(state, default_grid(state, 201)))
+            if largest_neighbour_overlap(spec, angles) > 0.1:
+                unresolved.append((l, k))
+            else:
+                resolved.append((l, k, frac, got))
+        assert len(resolved) + len(unresolved) == 69
+        assert unresolved == ([(4, 4)] * 16 if nu == 20.0 else [])
+        assert [(l, k, frac) for l, k, frac, got in resolved if got != l * k] == []
+
+    def test_lobe_astride_two_points_counts_once(self):
+        # on this grid each lobe of the 2-cat peaks between the two points at
+        # p = +-cell/2, whose Q agree to rounding and can tie exactly; a rule
+        # that lets a peak equal any neighbour then counts both
+        state = evolve(superposed_state(SuperpositionSpec(2, 0, 40.0)), PARAMS, T_REV / 4)
+        assert count_lobes(wigner_field(state, default_grid(state, 200))) == 2
+
     def test_four_lobe_positions(self):
         state = evolve(coherent_state(20.0), PARAMS, T_REV / 4)
         field = wigner_field(state)
@@ -306,10 +357,14 @@ class TestSymmetryAndLobes:
 
 
 class TestLobeLabelsAgainstNdimage:
-    """`scipy.ndimage` as an independent oracle of the blur and the region labels."""
+    """`scipy.ndimage` as an independent oracle of the Husimi blur and its peaks,
+    and the Fock-basis overlap <beta|psi> as a closed form of Q."""
 
-    @pytest.mark.parametrize("n,sigma",
-                             [(401, 8.85), (201, 4.4), (30, 3.7), (7, 6.2), (2, 3.0), (1, 2.0)])
+    @pytest.mark.parametrize("n,sigma", [
+        (401, 8.85), (201, 4.4), (30, 3.7), (7, 6.2), (2, 3.0), (1, 2.0),
+        # the vacuum width 1/sqrt(2) on 401^2 and 201^2 default grids of a nu = 20 cat
+        (401, 12.5), (201, 6.25),
+    ])
     def test_blur_matches_gaussian_filter(self, n, sigma):
         # n = 7, 2 and 1 lie inside the 4 sigma reach, so the taps reflect more than once
         from scipy import ndimage
@@ -319,21 +374,51 @@ class TestLobeLabelsAgainstNdimage:
         want = ndimage.gaussian_filter1d(values, sigma, axis=0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
-    def test_labels_match_ndimage_label(self):
+    @staticmethod
+    def _maximum_filter_peaks(q):
         from scipy import ndimage
 
+        top = ndimage.maximum_filter(q, 3, mode="constant", cval=-np.inf) == q
+        return np.flatnonzero(top & (q > 0.5 * q.max()))
+
+    def test_peaks_match_maximum_filter(self):
+        # random images have no ties, where the raster-order rule and a plain
+        # 3x3 maximum filter agree
         rng = np.random.default_rng(7)
         for _ in range(300):
-            shape = tuple(int(k) for k in rng.integers(1, 24, 2))
-            mask = rng.random(shape) < rng.random()
-            labels, count = _label_regions(mask)
-            want, want_count = ndimage.label(mask)
-            assert count == want_count
-            np.testing.assert_array_equal(labels, want)
+            n_x, n_p = (int(k) for k in rng.integers(2, 24, 2))
+            span_x, span_p = rng.uniform(0.2, 2.0, 2) * (n_x - 1, n_p - 1)
+            grid = PhaseSpaceGrid(0.0, span_x, 0.0, span_p, n_x, n_p)
+            q, peaks = _husimi_peaks(PhaseSpaceField(grid, rng.standard_normal((n_x, n_p))))
+            np.testing.assert_array_equal(peaks, self._maximum_filter_peaks(q))
+
+    def test_ties_go_to_the_first_in_raster_order(self, monkeypatch):
+        # with the blur taken out, Q is the image itself; images of a few
+        # integer levels are full of exact ties, where a peak must be above the
+        # neighbours before it and not below those after it
+        from scipy import ndimage
+
+        monkeypatch.setattr("kerrcat.wigner._blur_matrix", lambda n, sigma: np.eye(n))
+        earlier = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 0]], dtype=bool)
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n_x, n_p = (int(k) for k in rng.integers(2, 16, 2))
+            image = rng.integers(0, 4, (n_x, n_p)).astype(float)
+            grid = PhaseSpaceGrid(0.0, 1.0, 0.0, 1.0, n_x, n_p)
+            q, peaks = _husimi_peaks(PhaseSpaceField(grid, image))
+            np.testing.assert_array_equal(q, image)
+            above = [ndimage.maximum_filter(q, footprint=f, mode="constant", cval=-np.inf)
+                     for f in (earlier, earlier[::-1, ::-1])]
+            want = (q > above[0]) & (q >= above[1]) & (q > 0.5 * q.max())
+            np.testing.assert_array_equal(peaks, np.flatnonzero(want))
+        # a 2x3 plateau is one lobe
+        plateau = np.zeros((6, 7))
+        plateau[2:4, 2:5] = 1.0
+        assert len(_husimi_peaks(PhaseSpaceField(PhaseSpaceGrid(0.0, 1.0, 0.0, 1.0, 6, 7), plateau))[1]) == 1
 
     @pytest.mark.parametrize("l,nu,fraction,grid", [
         (1, 20.0, 0.25, 401), (2, 20.0, 0.125, 201), (3, 20.0, 1 / 18, 201), (4, 30.0, 1 / 32, 201),
-        # 7 points a sixth apart: the 4 sigma reach of 12 samples reflects twice
+        # 7 points a sixth apart: the 4 sigma reach of 17 samples reflects twice
         (1, 0.5, 0.25, PhaseSpaceGrid.square(0.5, 7)),
     ])
     def test_portrait_labels_match(self, l, nu, fraction, grid):
@@ -345,10 +430,17 @@ class TestLobeLabelsAgainstNdimage:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridCoverageWarning)
             field = wigner_field(state, grid)
-        smooth, labels, count = _lobe_labels(field)
+        q, peaks = _husimi_peaks(field)
         cx, cp = field.grid.cell
-        want_smooth = ndimage.gaussian_filter(field.values, sigma=(0.5 / cx, 0.5 / cp))
-        np.testing.assert_allclose(smooth, want_smooth, rtol=0, atol=1e-15)
-        want, want_count = ndimage.label(want_smooth > 0.5 * want_smooth.max())
-        assert count == want_count
-        np.testing.assert_array_equal(labels, want)
+        want_q = ndimage.gaussian_filter(field.values, sigma=(math.sqrt(0.5) / cx, math.sqrt(0.5) / cp))
+        np.testing.assert_allclose(q, want_q, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(peaks, self._maximum_filter_peaks(want_q))
+
+    @pytest.mark.parametrize("l,nu,fraction", [(1, 20.0, 0.25), (3, 20.0, 1 / 18), (4, 30.0, 1 / 32)])
+    def test_husimi_matches_closed_form(self, l, nu, fraction):
+        state = evolve(superposed_state(SuperpositionSpec(l, 0, nu)), PARAMS, fraction * T_REV)
+        field = wigner_field(state, default_grid(state, 201))
+        q, _ = _husimi_peaks(field)
+        X, P = np.meshgrid(field.grid.xs(), field.grid.ps(), indexing="ij")
+        want = husimi_closed_form(state, X, P)
+        np.testing.assert_allclose(q, want, rtol=0, atol=2e-4 * want.max())

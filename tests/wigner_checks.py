@@ -4,7 +4,7 @@ and l-fold rotation symmetry."""
 import numpy as np
 
 from kerrcat import FockState, PhaseSpaceField, rotate_state, wigner_field
-from kerrcat.wigner import _lobe_labels, default_grid
+from kerrcat.wigner import _husimi_peaks, default_grid
 
 
 def wigner_marginals(field: PhaseSpaceField) -> tuple[np.ndarray, np.ndarray]:
@@ -15,19 +15,15 @@ def wigner_marginals(field: PhaseSpaceField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lobe_peaks(field: PhaseSpaceField) -> list[tuple[float, float, float]]:
-    """Per-lobe (x, p, W_smooth) peak positions, strongest first.
+    """Per-lobe (x, p, Q) peak positions, strongest first.
 
-    Peaks are taken on the coarse-grained field that `count_lobes` labels,
-    whose maxima sit at the coherent-component centers."""
-    smooth, labels, count = _lobe_labels(field)
+    Peaks are the maxima of the Husimi Q that `count_lobes` counts, which sit
+    at the coherent-component centers."""
+    q, peaks = _husimi_peaks(field)
+    peaks = peaks[np.argsort(-q.flat[peaks], kind="stable")]
     xs, ps = field.grid.xs(), field.grid.ps()
-    peaks = []
-    for lab in range(1, count + 1):
-        region = np.where(labels == lab, smooth, -np.inf)
-        i, j = np.unravel_index(np.argmax(region), region.shape)
-        peaks.append((float(xs[i]), float(ps[j]), float(smooth[i, j])))
-    peaks.sort(key=lambda t: -t[2])
-    return peaks
+    return [(float(xs[i]), float(ps[j]), float(q[i, j]))
+            for i, j in zip(*np.unravel_index(peaks, q.shape))]
 
 
 def rotation_symmetry_defect(state: FockState, fold: int) -> float:
