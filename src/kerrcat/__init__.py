@@ -18,7 +18,6 @@ from .states import (
     coherent_state,
     fidelity,
     mean_photon_number,
-    normalization_n2,
     rotate_state,
     superposed_state,
     superposition_norm,

@@ -6,9 +6,9 @@ because n(n-1) is always even.  At rational fractions of T_rev the evolved
 state is a discrete superposition of rotated copies of the initial one;
 `revival_components` gives its weights and angles at any rational time.
 
-Every Kerr phase is exp(-i pi f k), f = t / T_rev and k an integer difference
-of n(n-1) values; `_half_turns` reduces f k mod 2 exactly from the integer k,
-and `evolve`, `evolve_amplitudes` and `moments.moment_series` share it.
+Every Kerr phase is exp(-i pi f k), f = t / T_rev and k = `_kerr_index` an
+integer; `_half_turns` reduces f k mod 2 exactly for `evolve` and
+`evolve_amplitudes`, and `moments.moment_series` bins by residues of k.
 """
 
 from __future__ import annotations
@@ -97,15 +97,20 @@ class TimeSeries:
         return "\n".join(lines) + series_table(self.grid.fractions, self.values)
 
 
+def _kerr_index(lower, upper):
+    """k of the Kerr phase exp(-i pi f k) from level lower to upper, f = t / T_rev."""
+    return upper * (upper - 1) - lower * (lower - 1)
+
+
 def _half_turns(fractions, lower, upper) -> np.ndarray:
     """Kerr phase between levels lower and upper in units of pi: (f k) mod 2.
 
-    k = upper(upper-1) - lower(lower-1) is an integer.  Each f splits into a
-    head on a 2^-20 lattice, whose products with k are exact and reduce mod 2
+    k = `_kerr_index`(lower, upper) is an integer.  Each f splits into a head
+    on a 2^-20 lattice, whose products with k are exact and reduce mod 2
     exactly, and a tail below 2^-21, so the result is exact up to the final
     rounding.  The arguments broadcast against each other.
     """
-    k = upper * (upper - 1) - lower * (lower - 1)
+    k = _kerr_index(lower, upper)
     head = np.round(fractions * 2.0**20) / 2.0**20
     turns = head * k
     # turns mod 2 = turns - 2 floor(turns / 2), exact on the lattice and

@@ -7,21 +7,17 @@ f = t / T_rev
     g_d(f) = sum_a conj(c_a) (X^m)_{a,a+d} c_{a+d} exp(-i pi f k),  k = d(2a + d - 1),
 
 and likewise for p.  X^m is built once on the truncated basis and g_0 is
-constant.  In band d the kept levels lie on a lattice a = a_0 + g j, so k is
-linear in j and the phase of level j is P_0 (P_1 / P_0)^j.  Splitting
-j = q B + b with B = isqrt(n) factors the band's (samples x n) phase table into
-B baby-step and about n / B giant-step columns,
+constant.  On a uniform grid with rational endpoints, f_t = (A + t B) / D in
+integers, every phase is a power of omega = exp(-2 pi i / L), L = 2D:
 
-    g_d = conj(P_0) sum_q P_{qB} sum_b P_b w_{qB+b},
+    exp(-i pi f_t k) = omega^(k A mod L) omega^(t (k B mod L)),
 
-so about 2 sqrt(n) columns of cos and sin are evaluated in place of n.  Each
-column is `evolution._half_turns`, exact mod 2 from its own integer k, and no
-phase is raised to a power, so the rounding error stays at a few units
-whatever the level a.  The matrix oracles (apply the tridiagonal x or p matrix
-repeatedly to an `evolve`d state and take the inner product) share the ladder
-functions and that phase with it, not the band weights or sum, and
-cross-check it in the tests and in
-`kerrcat validate`; the closed forms share neither.
+so all bands sum in one length-L FFT of the weights binned at their exact
+integer residues k B mod L, and the error does not grow with the level a.
+Other grids take each phase directly from `evolution._half_turns`.  The matrix
+oracles (the tridiagonal x or p matrix applied repeatedly to an `evolve`d
+state) share only the ladder functions and `evolution._kerr_index` with it;
+the closed forms and the component-sum state `analytic_state_at` share neither.
 The closed forms below exist only for specific initial states and powers and
 serve as further cross-checks; each one was rederived from the exact
 propagator and is validated against the oracle to 1e-9 relative accuracy at
@@ -40,13 +36,18 @@ factors exp(-nu (1 - cos ...)) pin the burst schedule of every moment series.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from . import evolution
 from .evolution import KerrParams, TimeGrid, TimeSeries, _half_turns
 from .states import FockState, SuperpositionSpec, superposed_state, superposition_norm, truncation_dim
 
 DEFAULT_SERIES_POINTS = 2001
+# largest L of the FFT route: at 2^20 the FFT takes 60 ms on a 2-vCPU guest, as long as the
+# direct route takes on a 2001-sample x^9 series; grids that need more (float 1/3) go direct
+_MAX_RESIDUES = 2**20
 
 
 class HeadroomError(ValueError):
@@ -208,8 +209,9 @@ def moment_scale(nu: float, r: int, s: int) -> float:
     return float(nu ** (r + s / 2.0)) if nu > 0 else 1.0
 
 
-def _band_weights(amplitudes: np.ndarray, power: int, apply) -> list[np.ndarray]:
-    """Diagonals d = 0..power of conj(c_a) (O^power)_{a,a+d} c_{a+d}, O applied by `apply`.
+def _band_weights(amplitudes: np.ndarray, power: int, apply) -> np.ndarray:
+    """Row d = 0..power holds conj(c_a) (O^power)_{a,a+d} c_{a+d} at column a, O
+    applied by `apply`, and zeros where a + d is past the basis.
 
     O^power has bandwidth `power`, so 2 power + 1 probes recover all of it:
     probe r sums the unit vectors e_i with i = r (mod 2 power + 1), and
@@ -220,44 +222,42 @@ def _band_weights(amplitudes: np.ndarray, power: int, apply) -> list[np.ndarray]
     probes = (idx % width == np.arange(width)[:, None]).astype(np.float64)
     for _ in range(power):
         probes = apply(probes)
-    return [amplitudes[: dim - d].conj() * probes[(idx[: dim - d] + d) % width, idx[: dim - d]]
-            * amplitudes[d:] for d in range(power + 1)]
+    upper = idx + np.arange(power + 1)[:, None]
+    band = amplitudes.conj() * probes[upper % width, idx] * amplitudes[upper % dim]
+    return np.where(upper < dim, band, 0)
 
 
-def _band_sum(fractions: np.ndarray, d: int, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j P_j(f) for each f, with P_j(f) = exp(-i pi `_half_turns`(f, a_j, a_j + d)).
+def _exact_grid(fractions: np.ndarray) -> tuple[int, int, int] | None:
+    """(A, B, D) with fractions[t] = (A + t B) / D as `np.linspace` rounds it, or None.
 
-    The ascending levels a lie on the lattice a_0 + g j, g the gcd of their
-    spacings (l for an l-cat); holes in the lattice carry zero weight.  The
-    Kerr index k_j = d(2 a_j + d - 1) is linear in j, so P_j = P_0 (P_1 / P_0)^j,
-    and with j = q B + b, B = isqrt(n) baby steps and Q = ceil(n / B) giant steps
-
-        sum_j w_j P_j = conj(P_0) sum_q P_{qB} sum_b P_b w_{qB+b}.
-
-    Only the B + Q phase columns P_b and P_{qB} are evaluated, each exact mod 2
-    from its own integer k, so every term is a product of three correctly
-    rounded phases and its error does not grow with a.  The inner sum is one
-    (T x B) by (B x Q) complex product.
+    The endpoints are read as the decimals that print them; `np.linspace`
+    between them must rebuild the grid bit for bit.
     """
-    g = int(np.gcd.reduce(np.diff(a))) or 1  # a one-weight band has no spacing
-    j = (a - a[0]) // g
-    n = int(j[-1]) + 1
-    baby = math.isqrt(n)
-    giant = -(-n // baby)
-    lattice = np.zeros(giant * baby, dtype=complex)
-    lattice[j] = w
+    start, stop = (Fraction(repr(float(f))) for f in (fractions[0], fractions[-1]))
+    if not np.array_equal(np.linspace(float(start), float(stop), fractions.size), fractions):
+        return None
+    step = (stop - start) / (fractions.size - 1)
+    denom = math.lcm(start.denominator, step.denominator)
+    return int(start * denom), int(step * denom), denom
 
-    def phases(steps):
-        lower = a[0] + g * steps
-        return np.exp(-1j * np.pi * _half_turns(fractions[:, None], lower, lower + d))
 
-    baby_phases = phases(np.arange(baby))
-    # einsum rather than a BLAS product, which OpenBLAS splits across two threads
-    # here: the second thread's spinning doubled the CPU time of a request and
-    # saved no wall time against one thread
-    inner = np.einsum("tb,qb->tq", baby_phases, lattice.reshape(giant, baby))
-    outer = np.einsum("tq,tq->t", phases(baby * np.arange(giant)), inner)
-    return baby_phases[:, 0].conj() * outer
+def _phase_sum(fractions, lower, upper, w) -> np.ndarray:
+    """sum_j w_j exp(-i pi f k_j) at each f, k_j = `evolution._kerr_index`(lower_j, upper_j).
+
+    One FFT over the residues of k on an exact grid (module docstring; fractions
+    in [0, 1] make L >= 2(samples - 1)), else each phase directly, 256 samples at a time.
+    """
+    exact = _exact_grid(fractions)
+    if exact is None or 2 * exact[2] > _MAX_RESIDUES:
+        return np.concatenate([np.exp(-1j * np.pi * _half_turns(f[:, None], lower, upper)) @ w
+                               for f in np.split(fractions, range(256, fractions.size, 256))])
+    start, step, denom = exact
+    size = 2 * denom
+    k = evolution._kerr_index(lower, upper)
+    w = w * np.exp(-2j * np.pi * (k * start % size) / size)
+    residues = k * step % size
+    binned = np.bincount(residues, w.real, size) + 1j * np.bincount(residues, w.imag, size)
+    return np.fft.fft(binned)[: fractions.size]
 
 
 def moment_series(
@@ -271,16 +271,12 @@ def moment_series(
     """<x^power> or <p^power> over a time grid, summed band by band.
 
     Band d > 0 of the (2 power + 1)-banded x^power or p^power contributes
-    2 Re sum_a w_a exp(-i pi f k_a) with k_a = d(2a + d - 1) an integer.
-    Weights that are exactly zero (parity and the l-fold photon support) or
-    below 1e-18 of their band's largest are dropped; the rest lie on a lattice
-    in a, and `_band_sum` factors the band's phase table into baby and giant
-    steps, about 2 sqrt(n) phase columns in place of n.  Each column is reduced
-    mod 2 exactly by `_half_turns` at any f, including f = 1 where every k is
-    even, so the error stays at a few roundings whatever the level a.  The
-    basis is enlarged by the moment power, and the headroom check refuses a
-    state with weight in its top power + 10 levels, where the truncated
-    x^power departs from the full one.
+    2 Re sum_a w_a exp(-i pi f k_a), k_a = d(2a + d - 1).  Weights that are
+    exactly zero (parity and the l-fold photon support) or below 1e-18 of their
+    band's largest are dropped; `_phase_sum` adds up the rest of all bands at
+    once.  The basis is enlarged by the moment power, and the headroom check
+    refuses a state with weight in its top power + 10 levels, where the
+    truncated x^power departs from the full one.
     """
     if observable not in ("x", "p"):
         raise ValueError("observable must be 'x' or 'p'")
@@ -294,12 +290,10 @@ def moment_series(
     _require_headroom(state.amplitudes, power, f"moment_series(power={power})")
     apply = apply_position if observable == "x" else apply_momentum
     weights = _band_weights(state.amplitudes, power, apply)
-    values = np.full(grid.fractions.size, weights[0].sum().real)
-    for d, w in enumerate(weights[1:], start=1):
-        mag = np.abs(w)
-        a = np.flatnonzero(mag > 1e-18 * mag.max())
-        if a.size:
-            values += 2.0 * _band_sum(grid.fractions, d, a, w[a]).real
+    mag = np.abs(weights[1:])
+    d, a = np.nonzero(mag > 1e-18 * mag.max(axis=1, keepdims=True))
+    sums = _phase_sum(grid.fractions, a, a + d + 1, weights[d + 1, a])
+    values = weights[0].sum().real + 2.0 * sums.real
     meta = {
         "l": spec.l, "h": spec.h, "nu": spec.nu, "theta": spec.theta,
         "chi": params.chi, "n_max": n_max,

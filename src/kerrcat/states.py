@@ -208,13 +208,6 @@ def superposition_norm(l: int, nu: float) -> float:
     return float(1.0 / math.sqrt(l * gram.sum()))
 
 
-def normalization_n2(nu: float) -> float:
-    """Closed form N_2 = [2 (1 + exp(-2 nu))]^(-1/2) for the two-component cat."""
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    return 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * nu)))
-
-
 def fidelity(a: FockState, b: FockState) -> float:
     """|<a|b>|^2; equals 1 iff the states match up to a global phase."""
     if a.n_max != b.n_max:

@@ -269,6 +269,16 @@ class TestMain:
         assert any(line.startswith("[FAIL] fractional-revival superpositions: analytic-state fidelity")
                    for line in out)
 
+    def test_validate_rejects_a_conjugated_kerr_index(self, monkeypatch, capsys):
+        # the series and evolve turn the wrong way together; the component-sum
+        # state at the exact sample times does not
+        orig = kerrcat.evolution._kerr_index
+        monkeypatch.setattr(kerrcat.evolution, "_kerr_index", lambda lo, up: -orig(lo, up))
+        assert cli.main(["validate"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("[FAIL] moment series against matrix oracle: band series vs oracle")
+                   for line in out)
+
     def test_validate_records_an_error_and_runs_on(self, monkeypatch, capsys):
         def broken(field):
             raise ValueError("no field to count")

@@ -22,9 +22,9 @@ from kerrcat import (
     x3_three_cat,
     x_moment_oracle,
 )
+import kerrcat.evolution
 import kerrcat.moments
-from kerrcat.evolution import _half_turns
-from kerrcat.moments import _band_sum, _band_weights, apply_momentum, apply_position, moment_scale
+from kerrcat.moments import _exact_grid, apply_position, moment_scale
 
 PARAMS = KerrParams(1.0)
 T_REV = PARAMS.t_rev
@@ -228,19 +228,6 @@ class TestMomentSeries:
             moment_series(SuperpositionSpec(1, 0, 1.0), "y", 2, PARAMS, TimeGrid.uniform(101))
 
 
-def table_series(spec, observable, power, grid, n_max):
-    """The band route without factoring: every band against its whole phase table."""
-    state = superposed_state(spec, n_max)
-    apply = apply_position if observable == "x" else apply_momentum
-    weights = _band_weights(state.amplitudes, power, apply)
-    values = np.full(grid.fractions.size, weights[0].sum().real)
-    for d, w in enumerate(weights[1:], start=1):
-        a = np.flatnonzero(w)
-        table = np.exp(-1j * np.pi * _half_turns(grid.fractions[:, None], a, a + d))
-        values += 2.0 * (table @ w[a]).real
-    return values
-
-
 def oracle_series(spec, observable, power, grid, n_max):
     """The moment at each sample by the matrix oracle on an evolved state."""
     oracle = x_moment_oracle if observable == "x" else p_moment_oracle
@@ -248,10 +235,25 @@ def oracle_series(spec, observable, power, grid, n_max):
     return np.array([oracle(evolve(state, PARAMS, t), power) for t in grid.times(PARAMS)])
 
 
+# (l, power, stop, samples) of the benchmark's `series` workload, at nu = 100
+SERIES_SHAPES = [
+    (1, 1, 1.0, 1441), (1, 2, 1.0, 1441), (1, 3, 1.0, 2881), (1, 4, 1.0, 2881), (1, 6, 0.5, 1441),
+    (2, 2, 1.0, 1441), (2, 4, 1.0, 2881), (2, 6, 0.5, 1441), (2, 8, 0.5, 2881),
+    (3, 3, 1.0, 2881), (3, 6, 0.5, 1441), (3, 9, 0.5, 1441), (4, 4, 1.0, 1441), (4, 8, 0.5, 2881),
+]
+
+
+def direct_series(monkeypatch, spec, observable, power, grid):
+    """moment_series with every grid sent down the direct route."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kerrcat.moments, "_MAX_RESIDUES", 0)
+        return moment_series(spec, observable, power, PARAMS, grid).values
+
+
 class TestBandRoute:
     """moment_series against the matrix oracle, sample by sample, at 1e-11 of
-    the observable scale (2 nu + 1)^(power/2), and its baby/giant-step band
-    sums against whole phase tables at 1e-15."""
+    the observable scale (2 nu + 1)^(power/2), and its residue-FFT route
+    against the direct route at 2e-13 of the series' largest value."""
 
     # burst times of l <= 4, generic times, and the ends where phase reduction matters most
     FRACTIONS = [0.0, 1 / 32, 1 / 9, 0.1234, 1 / 8, 1 / 4, 1 / 3, 0.41, 1 / 2, 0.6789,
@@ -296,33 +298,43 @@ class TestBandRoute:
         with pytest.raises(HeadroomError, match="increase n_max"):
             moment_series(SuperpositionSpec(1, 0, 20.0), "x", 8, PARAMS, TimeGrid.uniform(11), 70)
 
-    def test_factored_sum_matches_whole_table(self):
-        fractions = np.array(self.FRACTIONS)
-        rng = np.random.default_rng(7)
-        levels = {
-            "holes": np.array([3, 4, 6, 9, 10, 14]),
-            "stride 3, n = 11": 1 + 3 * np.arange(11),
-            "stride 3 with holes, high levels": 301 + 3 * np.array([0, 1, 2, 5, 7, 8, 12]),
-            "one weight": np.array([57]),
-            "n = 16": 40 + np.arange(16),
-            "n = 150": 20 + np.arange(150),
-        }
-        for case, a in levels.items():
-            w = rng.normal(size=a.size) + 1j * rng.normal(size=a.size)
-            for d in (1, 3, 8):
-                table = np.exp(-1j * np.pi * _half_turns(fractions[:, None], a, a + d))
-                err = np.max(np.abs(_band_sum(fractions, d, a, w) - table @ w))
-                assert err < 1e-15 * np.abs(w).sum(), (case, d)
+    def test_series_match_whole_table_sums(self, monkeypatch):
+        # the residue FFT against one phase per weight and sample, on the full
+        # windows and on a window starting at 1/4; every shape but the two
+        # first moments bursts inside it (those are damped to about 1e-13 there)
+        cases = [(shape, 0.0, shape[2]) for shape in SERIES_SHAPES]
+        cases += [(shape, 0.25, 0.5) for shape in SERIES_SHAPES if shape[1] > 1]
+        for (l, power, _, samples), start, stop in cases:
+            grid = TimeGrid.uniform(samples, start, stop)
+            for observable in ("x", "p"):
+                spec = SuperpositionSpec(l, 0, 100.0)
+                fft = moment_series(spec, observable, power, PARAMS, grid).values
+                direct = direct_series(monkeypatch, spec, observable, power, grid)
+                assert np.max(np.abs(fft - direct)) < 2e-13 * np.max(np.abs(direct)), \
+                    (l, power, observable, start)
 
-    def test_series_match_whole_table_sums(self):
-        grid = TimeGrid(np.unique(self.FRACTIONS + list(np.linspace(0.0, 1.0, 97))))
-        for (l, h), observable, power in [((1, 0), "x", 4), ((1, 0), "p", 5), ((2, 0), "x", 6),
-                                          ((3, 0), "p", 6), ((3, 1), "x", 9), ((4, 0), "x", 8)]:
-            spec = SuperpositionSpec(l, h, 100.0)
-            series = moment_series(spec, observable, power, PARAMS, grid)
-            want = table_series(spec, observable, power, grid, series.meta["n_max"])
-            scale = (2 * spec.nu + 1) ** (power / 2)
-            assert np.max(np.abs(series.values - want)) < 1e-15 * scale, (l, h, observable, power)
+    def test_exact_grid_from_the_endpoints(self):
+        assert _exact_grid(TimeGrid.uniform(1441, 0.0, 0.5).fractions) == (0, 1, 2880)
+        assert _exact_grid(TimeGrid.uniform(1001, 0.1, 0.35).fractions) == (400, 1, 4000)
+        assert _exact_grid(TimeGrid.uniform(101, 0.0, 0.3).fractions) == (0, 3, 1000)
+        # the float 1/3 is the 16-digit decimal 0.3333333333333333
+        assert _exact_grid(TimeGrid.uniform(11, 0.0, 1 / 3).fractions)[2] == 10**17
+        moved = TimeGrid.uniform(101).fractions.copy()
+        moved[50] = np.nextafter(moved[50], 1.0)
+        assert _exact_grid(moved) is None
+
+    def test_fallback_grids_take_the_direct_route(self, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT route taken")
+
+        spec = SuperpositionSpec(2, 0, 30.0)
+        monkeypatch.setattr(kerrcat.moments.np.fft, "fft", no_fft)
+        # a non-uniform grid, and one ending at the float 1/3, exact on 2 x 10^18 residues
+        for grid in (TimeGrid(np.array(self.FRACTIONS)), TimeGrid.uniform(301, 0.0, 1 / 3)):
+            self.check(spec, "x", 4, grid)
+        # a decimal endpoint needs only 2 x 1000 residues
+        with pytest.raises(AssertionError, match="FFT route taken"):
+            moment_series(spec, "x", 4, PARAMS, TimeGrid.uniform(301, 0.0, 0.3))
 
     def test_revival_ends_equal_and_flat_series_constant(self):
         grid = TimeGrid(np.array(self.FRACTIONS))
@@ -335,12 +347,16 @@ class TestBandRoute:
             assert np.ptp(values) == 0
 
     @pytest.mark.parametrize("mutant", [
-        lambda orig: lambda f, lo, up: -orig(f, lo, up),  # conjugated propagator
-        lambda orig: lambda f, lo, up: np.mod(f * (up**2 - lo**2), 2.0),  # n^2 spectrum
+        lambda orig: lambda lo, up: -orig(lo, up),  # conjugated propagator
+        lambda orig: lambda lo, up: up**2 - lo**2,  # n^2 spectrum
     ], ids=["conjugated", "n_squared"])
     def test_wrong_kerr_phase_moves_the_series(self, monkeypatch, mutant):
         spec, grid = SuperpositionSpec(2, 0, 30.0), TimeGrid.uniform(241, 0.0, 0.5)
         right = moment_series(spec, "x", 4, PARAMS, grid).values
-        monkeypatch.setattr(kerrcat.moments, "_half_turns", mutant(_half_turns))
+        right_direct = direct_series(monkeypatch, spec, "x", 4, grid)
+        monkeypatch.setattr(kerrcat.evolution, "_kerr_index", mutant(kerrcat.evolution._kerr_index))
         wrong = moment_series(spec, "x", 4, PARAMS, grid).values
-        assert np.max(np.abs(wrong - right)) > 0.1 * (2 * spec.nu + 1) ** 2
+        wrong_direct = direct_series(monkeypatch, spec, "x", 4, grid)
+        scale = (2 * spec.nu + 1) ** 2
+        assert np.max(np.abs(wrong - right)) > 0.1 * scale
+        assert np.max(np.abs(wrong_direct - right_direct)) > 0.1 * scale

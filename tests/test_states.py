@@ -13,7 +13,6 @@ from kerrcat import (
     coherent_state,
     fidelity,
     mean_photon_number,
-    normalization_n2,
     rotate_state,
     analytic_state_at,
     superposed_state,
@@ -126,12 +125,21 @@ class TestSuperposedState:
             SuperpositionSpec(2, 0, -1.0)
 
 
+def normalization_n2(nu):
+    """Closed form N_2 = [2 (1 + exp(-2 nu))]^(-1/2) of the two-component cat."""
+    return 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * nu)))
+
+
 class TestNormalizationN2:
+    """superposition_norm(2, nu) against the two-component closed form."""
+
     def test_nu_zero(self):
         assert normalization_n2(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert superposition_norm(2, 0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_large_nu_limit(self):
         assert normalization_n2(30.0) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert superposition_norm(2, 30.0) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_matches_numeric_normalization_at_nu1(self):
         # oracle: brute-force norm of |alpha> + |-alpha> in the Fock basis
@@ -141,6 +149,8 @@ class TestNormalizationN2:
         raw = coherent_amplitudes(alpha, 60) + coherent_amplitudes(-alpha, 60)
         assert normalization_n2(1.0) == pytest.approx(1.0 / np.linalg.norm(raw), rel=1e-12)
         assert normalization_n2(1.0) == pytest.approx(superposition_norm(2, 1.0), rel=1e-13)
+        for nu in (0.01, 0.3, 2.0, 7.5):
+            assert superposition_norm(2, nu) == pytest.approx(normalization_n2(nu), rel=1e-13)
 
 
 class TestFidelity:
